@@ -11,7 +11,6 @@ Subpackages:
   runner     experiment suites, bound checks, CSV reports
 """
 
-from ._kernels import USING_NUMBA
 from .adversary import (
     MpcResponder,
     TreeAdversaryResult,

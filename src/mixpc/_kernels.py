@@ -1,33 +1,22 @@
-"""Hot inner loops with two interchangeable backends.
+"""Hot inner loops: the phase loops of both online solvers and the
+Monte-Carlo rounding sweep, each one vectorised numpy function.
 
-The phase loops of both online solvers and the Monte-Carlo rounding sweep
-dominate runtime.  Each kernel exists twice: a loop-style implementation
-compiled with numba's ``@njit`` and a vectorised pure-numpy fallback.  The
-numpy path is selected by setting ``MIXPC_PURE_NUMPY=1`` (or when numba is
-not importable); ``benchmarks/bench_kernels.py`` compares the two.
-
-The backends agree to floating-point roundoff (summation order differs),
-which is well inside every tolerance used by the test suite.
+Callers look each kernel up as ``_kernels.<name>`` at call time, so a
+wrapper put in its place (a timer, say) sees every call.
+``tests/test_kernels.py`` checks the kernels against plain loop forms of
+the same updates.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "USING_NUMBA",
     "ompc_row_phases",
-    "ompc_row_phases_numpy",
-    "ompc_row_phases_numba",
     "ccfl_client_phases",
-    "ccfl_client_phases_numpy",
-    "ccfl_client_phases_numba",
     "mc_round_chunk",
-    "mc_round_chunk_numpy",
-    "mc_round_chunk_numba",
 ]
 
 _E = float(np.e)
@@ -36,29 +25,6 @@ _E = float(np.e)
 SATISFIED = 0
 FAILED = 1
 CAP_HIT = 2
-
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get("MIXPC_PURE_NUMPY", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-def _load_numba():
-    if _pure_numpy_requested():
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba
-
-
-_numba = _load_numba()
-USING_NUMBA = _numba is not None
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +38,7 @@ USING_NUMBA = _numba is not None
 # ---------------------------------------------------------------------------
 
 
-def ompc_row_phases_numpy(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack):
-    m = pvx.shape[0]
+def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack):
     pcols = pt[:, idx]
     d_est = np.empty(cap)
     d_dual = np.empty(cap)
@@ -111,71 +76,6 @@ def ompc_row_phases_numpy(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, 
     return SATISFIED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
 
 
-def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack):
-    m = pvx.shape[0]
-    r = idx.shape[0]
-    d_est = np.empty(cap)
-    d_dual = np.empty(cap)
-    w = np.empty(m)
-    ratio = np.empty(r)
-    phases = 0
-    dual_inc = 0.0
-    cover = 0.0
-    for t in range(r):
-        cover += val[t] * x[idx[t]]
-    while cover < 1.0 - slack:
-        if phases == cap:
-            return CAP_HIT, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
-        hi = pvx[0]
-        for k in range(1, m):
-            if pvx[k] > hi:
-                hi = pvx[k]
-        s = 0.0
-        for k in range(m):
-            w[k] = math.exp(pvx[k] - hi)
-            s += w[k]
-        est0 = hi + math.log(s)
-        rmin = np.inf
-        for t in range(r):
-            j = idx[t]
-            num = 0.0
-            for k in range(m):
-                num += pt[k, j] * w[k]
-            ratio[t] = (num / s) / val[t]
-            if ratio[t] < rmin:
-                rmin = ratio[t]
-        eps = (mu - 1.0) * rmin
-        for t in range(r):
-            j = idx[t]
-            dxj = x[j] * ((mu - 1.0) * (rmin / ratio[t]))
-            x[j] += dxj
-            for k in range(m):
-                pvx[k] += pt[k, j] * dxj
-            cover += val[t] * dxj
-        hi2 = pvx[0]
-        for k in range(1, m):
-            if pvx[k] > hi2:
-                hi2 = pvx[k]
-        s2 = 0.0
-        for k in range(m):
-            w[k] = math.exp(pvx[k] - hi2)
-            s2 += w[k]
-        est1 = hi2 + math.log(s2)
-        for k in range(m):
-            zk = w[k] / s2
-            if zk > z[k]:
-                z[k] = zk
-        if hi2 > max_tl:
-            max_tl = hi2
-        d_est[phases] = est1 - est0
-        d_dual[phases] = _E * eps
-        dual_inc += _E * eps
-        phases += 1
-        if hi2 >= fail_level:
-            return FAILED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
-    return SATISFIED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
-
-
 # ---------------------------------------------------------------------------
 # Fixed-charge assignment: all phases for one arriving client.
 #
@@ -189,7 +89,7 @@ def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, 
 # ---------------------------------------------------------------------------
 
 
-def _ccfl_cost_terms_np(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma):
+def _ccfl_cost_terms(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma):
     t1 = load / (zz * gamma)
     hi1 = t1.max()
     w1 = np.exp(t1 - hi1)
@@ -206,7 +106,7 @@ def _ccfl_cost_terms_np(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma):
     return cost, w1, s1, e2, s2, t1
 
 
-def ccfl_client_phases_numpy(
+def ccfl_client_phases(
     fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
     s2_rest, asum_rest, zz, gamma, mu, fail_level, cap,
 ):
@@ -221,7 +121,7 @@ def ccfl_client_phases_numpy(
         if phases == cap:
             status = CAP_HIT
             break
-        cost0, w1, s1, e2, s2, t1 = _ccfl_cost_terms_np(
+        cost0, w1, s1, e2, s2, t1 = _ccfl_cost_terms(
             load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma
         )
         np.maximum(chi_j, e2 / s2, out=chi_j)
@@ -250,7 +150,7 @@ def ccfl_client_phases_numpy(
         load[fac] += p * dx
         cover += float(dx.sum())
         alpha_inc += _E * eps
-        cost1 = _ccfl_cost_terms_np(
+        cost1 = _ccfl_cost_terms(
             load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma
         )[0]
         d_cost[phases] = cost1 - cost0
@@ -261,136 +161,6 @@ def ccfl_client_phases_numpy(
             break
     # closing snapshot keeps the scaled-violation maximum current
     tl = float((load / (zz * gamma) + rowmax / gamma).max())
-    if tl > max_tl:
-        max_tl = tl
-    return status, phases, alpha_inc, max_tl, d_cost[:phases], d_dual[:phases]
-
-
-def _ccfl_client_phases_loop(
-    fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
-    s2_rest, asum_rest, zz, gamma, mu, fail_level, cap,
-):
-    m = load.shape[0]
-    f = fac.shape[0]
-    d_cost = np.empty(cap)
-    d_dual = np.empty(cap)
-    w1 = np.empty(m)
-    e2 = np.empty(f)
-    rate = np.empty(f)
-    phases = 0
-    alpha_inc = 0.0
-    max_tl = -np.inf
-    cover = 0.0
-    for t in range(f):
-        cover += x_j[t]
-    status = SATISFIED
-    while cover < 1.0:
-        if phases == cap:
-            status = CAP_HIT
-            break
-        # snapshot of both penalty terms
-        hi1 = load[0]
-        for k in range(1, m):
-            if load[k] > hi1:
-                hi1 = load[k]
-        hi1 /= zz * gamma
-        s1 = 0.0
-        for k in range(m):
-            w1[k] = math.exp(load[k] / (zz * gamma) - hi1)
-            s1 += w1[k]
-        s2 = s2_rest
-        for t in range(f):
-            e2[t] = math.exp(x_j[t] / gamma)
-            s2 += e2[t]
-        est0 = hi1 + math.log(s1) + math.log(s2)
-        cl = 0.0
-        cr = 0.0
-        for k in range(m):
-            cl += c[k] * load[k]
-            cr += c[k] * rowmax[k]
-        ax = 0.0
-        for t in range(f):
-            ax += a[t] * x_j[t]
-        cost0 = zz * est0 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
-        tl = -np.inf
-        for k in range(m):
-            v = load[k] / (zz * gamma) + rowmax[k] / gamma
-            if v > tl:
-                tl = v
-        if tl > max_tl:
-            max_tl = tl
-        for t in range(f):
-            ch = e2[t] / s2
-            if ch > chi_j[t]:
-                chi_j[t] = ch
-        for k in range(m):
-            et = w1[k] / s1
-            if et > eta[k]:
-                eta[k] = et
-        rmin = np.inf
-        for t in range(f):
-            i = fac[t]
-            ind = 1.0 if at_max[t] else 0.0
-            rate[t] = (
-                zz * ((p[t] / zz) * (w1[i] / s1) + e2[t] / s2) / gamma
-                + (c[i] / gamma) * (p[t] / zz + ind)
-                + a[t] / gamma
-            )
-            if rate[t] < rmin:
-                rmin = rate[t]
-        eps = (mu - 1.0) * rmin
-        for t in range(f):
-            i = fac[t]
-            cand = x_j[t] * (1.0 + (mu - 1.0) * (rmin / rate[t]))
-            if at_max[t]:
-                new = cand
-                rowmax[i] = cand
-                grew[t] = True
-            else:
-                capv = rowmax[i]
-                if cand >= capv:
-                    new = capv
-                    at_max[t] = True
-                else:
-                    new = cand
-            dx = new - x_j[t]
-            x_j[t] = new
-            load[i] += p[t] * dx
-            cover += dx
-        alpha_inc += _E * eps
-        # post-update cost for the failure check
-        hi1 = load[0]
-        for k in range(1, m):
-            if load[k] > hi1:
-                hi1 = load[k]
-        hi1 /= zz * gamma
-        s1 = 0.0
-        for k in range(m):
-            s1 += math.exp(load[k] / (zz * gamma) - hi1)
-        s2 = s2_rest
-        for t in range(f):
-            s2 += math.exp(x_j[t] / gamma)
-        est1 = hi1 + math.log(s1) + math.log(s2)
-        cl = 0.0
-        cr = 0.0
-        for k in range(m):
-            cl += c[k] * load[k]
-            cr += c[k] * rowmax[k]
-        ax = 0.0
-        for t in range(f):
-            ax += a[t] * x_j[t]
-        cost1 = zz * est1 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
-        d_cost[phases] = cost1 - cost0
-        d_dual[phases] = _E * eps
-        phases += 1
-        if cost1 > fail_level:
-            status = FAILED
-            break
-    tl = -np.inf
-    for k in range(m):
-        v = load[k] / (zz * gamma) + rowmax[k] / gamma
-        if v > tl:
-            tl = v
     if tl > max_tl:
         max_tl = tl
     return status, phases, alpha_inc, max_tl, d_cost[:phases], d_dual[:phases]
@@ -408,7 +178,7 @@ def _ccfl_client_phases_loop(
 # ---------------------------------------------------------------------------
 
 
-def mc_round_chunk_numpy(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
+def mc_round_chunk(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
     tbar = tdraw.min(axis=2)  # (R, m)
     openmask = yat[None, :, :] >= tbar[:, None, :]  # (R, n, m)
     prob = np.where(in_s, np.minimum(1.0, xcl / np.maximum(yat, 1e-300)), 0.0)
@@ -421,54 +191,3 @@ def mc_round_chunk_numpy(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
     max_cong = cong.max(axis=1)
     return step4, opened_cost, max_cong
 
-
-def _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
-    nrep = tdraw.shape[0]
-    n, m = xcl.shape
-    r = tdraw.shape[2]
-    step4 = np.zeros((nrep, n), dtype=np.bool_)
-    opened_cost = np.zeros(nrep)
-    max_cong = np.zeros(nrep)
-    for rep in range(nrep):
-        for i in range(m):
-            tb = tdraw[rep, i, 0]
-            for k in range(1, r):
-                if tdraw[rep, i, k] < tb:
-                    tb = tdraw[rep, i, k]
-            if yfinal[i] >= tb:
-                opened_cost[rep] += cfix[i]
-            cong = 0.0
-            for j in range(n):
-                if in_s[j, i]:
-                    prob = xcl[j, i] / yat[j, i]
-                    if prob > 1.0:
-                        prob = 1.0
-                    if udraw[rep, j, i] < prob:
-                        cong += p[j, i]
-                        if yat[j, i] >= tb:
-                            step4[rep, j] = True  # reused as "hit" marker
-            if cong > max_cong[rep]:
-                max_cong[rep] = cong
-        for j in range(n):
-            step4[rep, j] = not step4[rep, j]
-    return step4, opened_cost, max_cong
-
-
-def _jit(fn):
-    return _numba.njit(cache=True)(fn)
-
-
-if USING_NUMBA:
-    ompc_row_phases_numba = _jit(_ompc_row_phases_loop)
-    ccfl_client_phases_numba = _jit(_ccfl_client_phases_loop)
-    mc_round_chunk_numba = _jit(_mc_round_chunk_loop)
-    ompc_row_phases = ompc_row_phases_numba
-    ccfl_client_phases = ccfl_client_phases_numba
-    mc_round_chunk = mc_round_chunk_numba
-else:
-    ompc_row_phases_numba = None
-    ccfl_client_phases_numba = None
-    mc_round_chunk_numba = None
-    ompc_row_phases = ompc_row_phases_numpy
-    ccfl_client_phases = ccfl_client_phases_numpy
-    mc_round_chunk = mc_round_chunk_numpy

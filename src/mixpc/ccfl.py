@@ -122,9 +122,17 @@ class CcflInstance:
         object.__setattr__(self, "fixed_charge", np.ascontiguousarray(c))
         object.__setattr__(self, "capacity", np.ascontiguousarray(u))
         object.__setattr__(self, "clients", tuple(self.clients))
-        for cl in self.clients:
+        for j, cl in enumerate(self.clients):
             if np.any(cl.facilities >= c.size):
                 raise ValueError("client references unknown facility")
+            # init_client scales each entry by the least entry cost, which
+            # is 0/0 for an entry of cost 0
+            free = c[cl.facilities] + cl.demand + cl.assign_cost == 0.0
+            if free.any():
+                raise ValueError(
+                    f"client {j} has a zero-cost entry at facility "
+                    f"{int(cl.facilities[free][0])}"
+                )
 
     @property
     def m(self) -> int:
@@ -145,10 +153,7 @@ class CcflInstance:
         worst = 1.0
         for j in range(self.n):
             ec = self.entry_cost(j)
-            lo = ec.min()
-            if lo <= 0:
-                continue
-            worst = max(worst, float(ec.max() / lo))
+            worst = max(worst, float(ec.max() / ec.min()))
         return worst
 
     @property

@@ -39,6 +39,11 @@ def _load(path: str):
         raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
+def _write_decision_log(fh, decision_log) -> None:
+    for rec in decision_log:
+        fh.write(json.dumps(rec) + "\n")
+
+
 def _cmd_solve_ompc(args) -> int:
     inst = _load(args.instance)
     if not isinstance(inst, OmpcInstance):
@@ -98,8 +103,7 @@ def _cmd_solve_ccfl(args) -> int:
     print(f"per_epoch_total {result.per_epoch_total!r}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in result.decision_log:
-                fh.write(json.dumps(rec) + "\n")
+            _write_decision_log(fh, result.decision_log)
         print(f"decision log -> {args.out}")
     if args.bound_check:
         try:
@@ -128,13 +132,10 @@ def _cmd_round(args) -> int:
         print("round needs a facility/client instance", file=sys.stderr)
         return 2
     result = z_epochs(inst, seed=args.seed, epoch_constant=args.epoch_constant)
-    for rec in result.decision_log:
-        line = json.dumps(rec)
-        print(line)
+    _write_decision_log(sys.stdout, result.decision_log)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for rec in result.decision_log:
-                fh.write(json.dumps(rec) + "\n")
+            _write_decision_log(fh, result.decision_log)
     return 0
 
 
@@ -167,7 +168,6 @@ def _cmd_suite(args) -> int:
         reps=args.reps,
         out=args.out,
         bound_check=args.bound_check,
-        epoch_constant=args.epoch_constant,
     )
     report = run_experiment(config)
     if not args.out:
@@ -177,6 +177,20 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+# the options a subcommand may take; each subcommand names the ones it reads
+_OPTIONS = {
+    "--instance": dict(required=True, help="instance file"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default=None, help="output file"),
+    "--bound-check": dict(action="store_true"),
+    "--epoch-constant": dict(
+        type=float,
+        default=512.0,
+        help="budget constant K for the cost-guess doubling",
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixpc",
@@ -184,47 +198,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("--instance", required=True, help="instance file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output file")
-        p.add_argument("--bound-check", action="store_true", dest="bound_check")
-        p.add_argument(
-            "--epoch-constant",
-            type=float,
-            default=512.0,
-            dest="epoch_constant",
-            help="budget constant K for the cost-guess doubling",
-        )
+    def command(name, fn, options, help):
+        p = sub.add_parser(name, help=help)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("solve-ompc", help="stream covering rows through the solver")
-    common(p)
-    p.set_defaults(fn=_cmd_solve_ompc)
-
-    p = sub.add_parser("adversary", help="generate and play a tree-adversary run")
-    common(p, instance=False)
+    command(
+        "solve-ompc",
+        _cmd_solve_ompc,
+        "--instance --bound-check",
+        "stream covering rows through the solver",
+    )
+    p = command(
+        "adversary",
+        _cmd_adversary,
+        "--out --bound-check",
+        "generate and play a tree-adversary run",
+    )
     p.add_argument("--m", type=int, required=True, help="leaves (power of two)")
     p.add_argument("--d", type=int, required=True, help="block size (power of two)")
     p.add_argument("--algorithm", choices=("mpc", "uniform"), default="mpc")
-    p.set_defaults(fn=_cmd_adversary)
-
-    p = sub.add_parser("solve-ccfl", help="full integral pipeline with Z doubling")
-    common(p)
-    p.set_defaults(fn=_cmd_solve_ccfl)
-
-    p = sub.add_parser("round", help="emit the per-client rounding decision log")
-    common(p)
-    p.set_defaults(fn=_cmd_round)
-
-    p = sub.add_parser("oracle", help="offline optimum of an instance")
-    common(p)
+    command(
+        "solve-ccfl",
+        _cmd_solve_ccfl,
+        "--instance --seed --out --bound-check --epoch-constant",
+        "full integral pipeline with Z doubling",
+    )
+    command(
+        "round",
+        _cmd_round,
+        "--instance --seed --out --epoch-constant",
+        "emit the per-client rounding decision log",
+    )
+    p = command("oracle", _cmd_oracle, "--instance", "offline optimum of an instance")
     p.add_argument("--z", type=float, default=None, help="cost guess for opt1")
     p.add_argument("--brute", action="store_true", help="brute-force total cost")
-    p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("suite", help="run a named experiment suite")
-    common(p, instance=False)
+    p = command(
+        "suite", _cmd_suite, "--seed --out --bound-check", "run a named experiment suite"
+    )
     p.add_argument(
         "--name",
         required=True,
@@ -232,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.set_defaults(fn=_cmd_suite)
     return parser
 
 

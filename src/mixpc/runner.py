@@ -548,7 +548,6 @@ class ExperimentConfig:
     reps: int | None = None
     out: str | None = None
     bound_check: bool = True
-    epoch_constant: float = 512.0
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -556,9 +555,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.suite == "ompc-adversary":
         report = suite_ompc_adversary(seed=config.seed)
     elif config.suite == "ompc-random":
-        report = suite_ompc_random(count=config.count or 50, seed=config.seed)
+        report = suite_ompc_random(
+            count=config.count or 50,
+            seed=config.seed,
+            with_checks=config.bound_check,
+        )
     elif config.suite == "ccfl-random":
-        report = suite_ccfl_random(count=config.count or 25, seed=config.seed)
+        report = suite_ccfl_random(
+            count=config.count or 25,
+            seed=config.seed,
+            with_checks=config.bound_check,
+        )
     elif config.suite == "ccfl-mc":
         report, _ = suite_ccfl_mc(reps=config.reps or 100_000, seed=config.seed)
     else:

@@ -1,4 +1,10 @@
-"""Both kernel backends must agree (to roundoff) on identical inputs."""
+"""The numpy kernels must agree (to roundoff) with plain loop forms.
+
+The ``_*_loop`` functions below are reference code: the same phase updates
+written one scalar at a time.  Summation order differs from the vectorised
+kernels, so floats agree to roundoff while statuses, phase counts and flags
+agree exactly.
+"""
 
 import math
 
@@ -6,11 +12,237 @@ import numpy as np
 import pytest
 
 from mixpc import _kernels
+from mixpc._kernels import CAP_HIT, FAILED, SATISFIED
 from mixpc.rng import rng_for
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.USING_NUMBA, reason="numba backend not active"
-)
+_E = float(np.e)
+
+
+def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack):
+    m = pvx.shape[0]
+    r = idx.shape[0]
+    d_est = np.empty(cap)
+    d_dual = np.empty(cap)
+    w = np.empty(m)
+    ratio = np.empty(r)
+    phases = 0
+    dual_inc = 0.0
+    cover = 0.0
+    for t in range(r):
+        cover += val[t] * x[idx[t]]
+    while cover < 1.0 - slack:
+        if phases == cap:
+            return CAP_HIT, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
+        hi = pvx[0]
+        for k in range(1, m):
+            if pvx[k] > hi:
+                hi = pvx[k]
+        s = 0.0
+        for k in range(m):
+            w[k] = math.exp(pvx[k] - hi)
+            s += w[k]
+        est0 = hi + math.log(s)
+        rmin = np.inf
+        for t in range(r):
+            j = idx[t]
+            num = 0.0
+            for k in range(m):
+                num += pt[k, j] * w[k]
+            ratio[t] = (num / s) / val[t]
+            if ratio[t] < rmin:
+                rmin = ratio[t]
+        eps = (mu - 1.0) * rmin
+        for t in range(r):
+            j = idx[t]
+            dxj = x[j] * ((mu - 1.0) * (rmin / ratio[t]))
+            x[j] += dxj
+            for k in range(m):
+                pvx[k] += pt[k, j] * dxj
+            cover += val[t] * dxj
+        hi2 = pvx[0]
+        for k in range(1, m):
+            if pvx[k] > hi2:
+                hi2 = pvx[k]
+        s2 = 0.0
+        for k in range(m):
+            w[k] = math.exp(pvx[k] - hi2)
+            s2 += w[k]
+        est1 = hi2 + math.log(s2)
+        for k in range(m):
+            zk = w[k] / s2
+            if zk > z[k]:
+                z[k] = zk
+        if hi2 > max_tl:
+            max_tl = hi2
+        d_est[phases] = est1 - est0
+        d_dual[phases] = _E * eps
+        dual_inc += _E * eps
+        phases += 1
+        if hi2 >= fail_level:
+            return FAILED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
+    return SATISFIED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
+
+
+def _ccfl_client_phases_loop(
+    fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
+    s2_rest, asum_rest, zz, gamma, mu, fail_level, cap,
+):
+    m = load.shape[0]
+    f = fac.shape[0]
+    d_cost = np.empty(cap)
+    d_dual = np.empty(cap)
+    w1 = np.empty(m)
+    e2 = np.empty(f)
+    rate = np.empty(f)
+    phases = 0
+    alpha_inc = 0.0
+    max_tl = -np.inf
+    cover = 0.0
+    for t in range(f):
+        cover += x_j[t]
+    status = SATISFIED
+    while cover < 1.0:
+        if phases == cap:
+            status = CAP_HIT
+            break
+        # snapshot of both penalty terms
+        hi1 = load[0]
+        for k in range(1, m):
+            if load[k] > hi1:
+                hi1 = load[k]
+        hi1 /= zz * gamma
+        s1 = 0.0
+        for k in range(m):
+            w1[k] = math.exp(load[k] / (zz * gamma) - hi1)
+            s1 += w1[k]
+        s2 = s2_rest
+        for t in range(f):
+            e2[t] = math.exp(x_j[t] / gamma)
+            s2 += e2[t]
+        est0 = hi1 + math.log(s1) + math.log(s2)
+        cl = 0.0
+        cr = 0.0
+        for k in range(m):
+            cl += c[k] * load[k]
+            cr += c[k] * rowmax[k]
+        ax = 0.0
+        for t in range(f):
+            ax += a[t] * x_j[t]
+        cost0 = zz * est0 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
+        tl = -np.inf
+        for k in range(m):
+            v = load[k] / (zz * gamma) + rowmax[k] / gamma
+            if v > tl:
+                tl = v
+        if tl > max_tl:
+            max_tl = tl
+        for t in range(f):
+            ch = e2[t] / s2
+            if ch > chi_j[t]:
+                chi_j[t] = ch
+        for k in range(m):
+            et = w1[k] / s1
+            if et > eta[k]:
+                eta[k] = et
+        rmin = np.inf
+        for t in range(f):
+            i = fac[t]
+            ind = 1.0 if at_max[t] else 0.0
+            rate[t] = (
+                zz * ((p[t] / zz) * (w1[i] / s1) + e2[t] / s2) / gamma
+                + (c[i] / gamma) * (p[t] / zz + ind)
+                + a[t] / gamma
+            )
+            if rate[t] < rmin:
+                rmin = rate[t]
+        eps = (mu - 1.0) * rmin
+        for t in range(f):
+            i = fac[t]
+            cand = x_j[t] * (1.0 + (mu - 1.0) * (rmin / rate[t]))
+            if at_max[t]:
+                new = cand
+                rowmax[i] = cand
+                grew[t] = True
+            else:
+                capv = rowmax[i]
+                if cand >= capv:
+                    new = capv
+                    at_max[t] = True
+                else:
+                    new = cand
+            dx = new - x_j[t]
+            x_j[t] = new
+            load[i] += p[t] * dx
+            cover += dx
+        alpha_inc += _E * eps
+        # post-update cost for the failure check
+        hi1 = load[0]
+        for k in range(1, m):
+            if load[k] > hi1:
+                hi1 = load[k]
+        hi1 /= zz * gamma
+        s1 = 0.0
+        for k in range(m):
+            s1 += math.exp(load[k] / (zz * gamma) - hi1)
+        s2 = s2_rest
+        for t in range(f):
+            s2 += math.exp(x_j[t] / gamma)
+        est1 = hi1 + math.log(s1) + math.log(s2)
+        cl = 0.0
+        cr = 0.0
+        for k in range(m):
+            cl += c[k] * load[k]
+            cr += c[k] * rowmax[k]
+        ax = 0.0
+        for t in range(f):
+            ax += a[t] * x_j[t]
+        cost1 = zz * est1 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
+        d_cost[phases] = cost1 - cost0
+        d_dual[phases] = _E * eps
+        phases += 1
+        if cost1 > fail_level:
+            status = FAILED
+            break
+    tl = -np.inf
+    for k in range(m):
+        v = load[k] / (zz * gamma) + rowmax[k] / gamma
+        if v > tl:
+            tl = v
+    if tl > max_tl:
+        max_tl = tl
+    return status, phases, alpha_inc, max_tl, d_cost[:phases], d_dual[:phases]
+
+
+def _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
+    nrep = tdraw.shape[0]
+    n, m = xcl.shape
+    r = tdraw.shape[2]
+    step4 = np.zeros((nrep, n), dtype=np.bool_)
+    opened_cost = np.zeros(nrep)
+    max_cong = np.zeros(nrep)
+    for rep in range(nrep):
+        for i in range(m):
+            tb = tdraw[rep, i, 0]
+            for k in range(1, r):
+                if tdraw[rep, i, k] < tb:
+                    tb = tdraw[rep, i, k]
+            if yfinal[i] >= tb:
+                opened_cost[rep] += cfix[i]
+            cong = 0.0
+            for j in range(n):
+                if in_s[j, i]:
+                    prob = xcl[j, i] / yat[j, i]
+                    if prob > 1.0:
+                        prob = 1.0
+                    if udraw[rep, j, i] < prob:
+                        cong += p[j, i]
+                        if yat[j, i] >= tb:
+                            step4[rep, j] = True  # reused as "hit" marker
+            if cong > max_cong[rep]:
+                max_cong[rep] = cong
+        for j in range(n):
+            step4[rep, j] = not step4[rep, j]
+    return step4, opened_cost, max_cong
 
 
 def _ompc_inputs(seed):
@@ -26,25 +258,24 @@ def _ompc_inputs(seed):
     return pt, idx, val, x, pvx, z, mu
 
 
-@needs_numba
-def test_ompc_backends_agree():
+def test_ompc_kernel_matches_loop():
     for seed in range(5):
         args_np = _ompc_inputs(seed)
-        args_nb = _ompc_inputs(seed)
+        args_lp = _ompc_inputs(seed)
         fail = 3.0 * math.log(math.e * 4)
-        out_np = _kernels.ompc_row_phases_numpy(
+        out_np = _kernels.ompc_row_phases(
             *args_np[:6], 0.0, args_np[6], fail, 10_000, 1e-12
         )
-        out_nb = _kernels.ompc_row_phases_numba(
-            *args_nb[:6], 0.0, args_nb[6], fail, 10_000, 1e-12
+        out_lp = _ompc_row_phases_loop(
+            *args_lp[:6], 0.0, args_lp[6], fail, 10_000, 1e-12
         )
-        assert out_np[0] == out_nb[0]  # status
-        assert out_np[1] == out_nb[1]  # phases
-        assert out_np[2] == pytest.approx(out_nb[2], rel=1e-12)
-        assert out_np[3] == pytest.approx(out_nb[3], rel=1e-12)
-        np.testing.assert_allclose(args_np[3], args_nb[3], rtol=1e-12)  # x
-        np.testing.assert_allclose(args_np[5], args_nb[5], rtol=1e-12)  # z
-        np.testing.assert_allclose(out_np[4], out_nb[4], rtol=0, atol=1e-12)
+        assert out_np[0] == out_lp[0]  # status
+        assert out_np[1] == out_lp[1]  # phases
+        assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
+        assert out_np[3] == pytest.approx(out_lp[3], rel=1e-12)
+        np.testing.assert_allclose(args_np[3], args_lp[3], rtol=1e-12)  # x
+        np.testing.assert_allclose(args_np[5], args_lp[5], rtol=1e-12)  # z
+        np.testing.assert_allclose(out_np[4], out_lp[4], rtol=0, atol=1e-12)
 
 
 def _ccfl_inputs(seed):
@@ -74,25 +305,23 @@ def _ccfl_inputs(seed):
             s2_rest, 0.0, zz, 1.0, mu, fail, 10_000)
 
 
-@needs_numba
-def test_ccfl_backends_agree():
+def test_ccfl_kernel_matches_loop():
     for seed in range(5):
         a_np = _ccfl_inputs(seed)
-        a_nb = _ccfl_inputs(seed)
-        out_np = _kernels.ccfl_client_phases_numpy(*a_np)
-        out_nb = _kernels.ccfl_client_phases_numba(*a_nb)
-        assert out_np[0] == out_nb[0]
-        assert out_np[1] == out_nb[1]
-        assert out_np[2] == pytest.approx(out_nb[2], rel=1e-12)
-        np.testing.assert_allclose(a_np[4], a_nb[4], rtol=1e-12)  # x_j
-        np.testing.assert_allclose(a_np[7], a_nb[7], rtol=1e-12)  # rowmax
-        np.testing.assert_allclose(a_np[10], a_nb[10], rtol=1e-12)  # eta
-        assert np.array_equal(a_np[5], a_nb[5])  # at_max flags
-        assert np.array_equal(a_np[6], a_nb[6])  # grew flags
+        a_lp = _ccfl_inputs(seed)
+        out_np = _kernels.ccfl_client_phases(*a_np)
+        out_lp = _ccfl_client_phases_loop(*a_lp)
+        assert out_np[0] == out_lp[0]
+        assert out_np[1] == out_lp[1]
+        assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
+        np.testing.assert_allclose(a_np[4], a_lp[4], rtol=1e-12)  # x_j
+        np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # rowmax
+        np.testing.assert_allclose(a_np[10], a_lp[10], rtol=1e-12)  # eta
+        assert np.array_equal(a_np[5], a_lp[5])  # at_max flags
+        assert np.array_equal(a_np[6], a_lp[6])  # grew flags
 
 
-@needs_numba
-def test_mc_backends_agree():
+def test_mc_kernel_matches_loop():
     g = rng_for(3, "kernel-mc")
     m, n, r, reps = 4, 5, 6, 40
     xcl = g.random((n, m))
@@ -103,12 +332,9 @@ def test_mc_backends_agree():
     in_s = xcl >= 1.0 / (2 * m)
     tdraw = g.random((reps, m, r))
     udraw = g.random((reps, n, m))
-    s_np = _kernels.mc_round_chunk_numpy(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw)
-    s_nb = _kernels.mc_round_chunk_numba(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw)
-    assert np.array_equal(s_np[0], s_nb[0])
-    np.testing.assert_allclose(s_np[1], s_nb[1], rtol=1e-12)
-    np.testing.assert_allclose(s_np[2], s_nb[2], rtol=1e-12)
+    s_np = _kernels.mc_round_chunk(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw)
+    s_lp = _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw)
+    assert np.array_equal(s_np[0], s_lp[0])
+    np.testing.assert_allclose(s_np[1], s_lp[1], rtol=1e-12)
+    np.testing.assert_allclose(s_np[2], s_lp[2], rtol=1e-12)
 
-
-def test_backend_flag_is_reported():
-    assert isinstance(_kernels.USING_NUMBA, bool)

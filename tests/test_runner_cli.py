@@ -172,3 +172,73 @@ def test_cli_suite_smoke(tmp_path):
     text = out.read_text()
     assert text.splitlines()[0] == REPORT_HEADER
     assert len(text.strip().splitlines()) == 3
+
+
+def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound check ran with bound_check=False")
+
+    monkeypatch.setattr("mixpc.runner.check_ompc_run", refuse)
+    monkeypatch.setattr("mixpc.runner.check_ccfl_run", refuse)
+    for suite in ("ompc-random", "ccfl-random"):
+        rep = run_experiment(
+            ExperimentConfig(suite=suite, count=1, seed=1, bound_check=False)
+        )
+        assert len(rep.records) == 1
+        assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("solve-ompc", "--seed 5"),
+        ("solve-ompc", "--out out.txt"),
+        ("solve-ompc", "--epoch-constant 3"),
+        ("adversary", "--seed 5"),
+        ("adversary", "--epoch-constant 3"),
+        ("round", "--bound-check"),
+        ("oracle", "--seed 5"),
+        ("oracle", "--out out.txt"),
+        ("oracle", "--bound-check"),
+        ("oracle", "--epoch-constant 3"),
+        ("suite", "--epoch-constant 3"),
+    ],
+)
+def test_cli_rejects_options_the_command_does_not_read(
+    command, option, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.txt").write_text(emit_instance(gen_random_ccfl(3, 4, seed=6)))
+    required = {
+        "solve-ompc": ["--instance", "inst.txt"],
+        "adversary": ["--m", "2", "--d", "2"],
+        "round": ["--instance", "inst.txt"],
+        "oracle": ["--instance", "inst.txt", "--brute"],
+        "suite": ["--name", "ompc-random", "--count", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, *option.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option.split()[0]}" in capsys.readouterr().err
+
+
+ZERO_COST_CCFL = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+0.0 1.0
+1.0 1.0
+clients 2
+0:0.0:0.0 1:1.0:0.5
+0:1.0:0.5 1:1.0:0.5
+end
+"""
+
+
+def test_cli_zero_cost_entry_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "zero.txt"
+    path.write_text(ZERO_COST_CCFL)
+    assert main(["solve-ccfl", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "client 0 has a zero-cost entry at facility 0" in err
