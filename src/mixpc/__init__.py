@@ -1,7 +1,7 @@
 """Online mixed packing/covering solver and the fixed-charge pipeline.
 
 Subpackages:
-  core       exponential-penalty primitives (smooth max, rates, step size)
+  core       packing system, covering rows, smooth max and violation
   solver     the online packing/covering solver with scale doubling
   adversary  lower-bound instance generators (two-block game, tree walk)
   ccfl       fractional fixed-charge assignment with congestion
@@ -32,7 +32,6 @@ from .ccfl import (
     candidate_facilities,
     ccfl_cost,
     ccfl_dual_certificate,
-    ccfl_rates,
     gamma_trials,
     init_client,
     umsc_to_ccfl,
@@ -40,10 +39,7 @@ from .ccfl import (
 from .core import (
     CoveringRow,
     PackingSystem,
-    rates,
     smooth_max,
-    smooth_max_and_rates,
-    step_size,
     violation,
 )
 from .instances import (

@@ -36,7 +36,6 @@ __all__ = [
     "init_client",
     "assign_fractional",
     "ccfl_cost",
-    "ccfl_rates",
     "ccfl_dual_certificate",
     "gamma_trials",
     "umsc_to_ccfl",
@@ -86,18 +85,6 @@ class CcflClient:
             raise ValueError("demands and assignment costs must be nonnegative")
         if not (np.all(np.isfinite(self.demand)) and np.all(np.isfinite(self.assign_cost))):
             raise ValueError("client parameters must be finite")
-
-    def position_of(self, i: int) -> int:
-        t = int(np.searchsorted(self.facilities, i))
-        if t >= self.facilities.size or self.facilities[t] != i:
-            raise KeyError(f"facility {i} not feasible for this client")
-        return t
-
-    def demand_for(self, i: int) -> float:
-        return float(self.demand[self.position_of(i)])
-
-    def assign_cost_for(self, i: int) -> float:
-        return float(self.assign_cost[self.position_of(i)])
 
 
 @dataclass(frozen=True)
@@ -308,29 +295,6 @@ def _client_arrays(state: CcflTrialState, j: int):
     cl = inst.clients[j]
     keep = np.isin(cl.facilities, fj)
     return fj.astype(np.int64), cl.demand[keep].copy(), cl.assign_cost[keep].copy()
-
-
-def ccfl_rates(state: CcflTrialState, j: int) -> np.ndarray:
-    """Rate of change of the potential per candidate facility of client j."""
-    fac, p, a = _client_arrays(state, j)
-    zz, g = state.z_value, state.gamma
-    t1 = state.load / (zz * g)
-    hi1 = t1.max()
-    w1 = np.exp(t1 - hi1)
-    s1 = w1.sum()
-    flat = state.x / g
-    hi2 = flat.max()
-    s2 = float(np.exp(flat - hi2).sum())
-    e2 = np.exp(state.x[fac, j] / g - hi2)
-    ind = np.array(
-        [1.0 if j in state.argmax_track[int(i)] else 0.0 for i in fac]
-    )
-    c = state.instance.fixed_charge
-    return (
-        zz * ((p / zz) * (w1[fac] / s1) + e2 / s2) / g
-        + (c[fac] / g) * (p / zz + ind)
-        + a / g
-    )
 
 
 def assign_fractional(state: CcflTrialState, j: int) -> bool:

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a requested bound check fails, 2 on bad
-input (unreadable instance, malformed flags).
+input (unreadable instance, malformed flags), 3 on an internal error (a
+solver or oracle that could not finish).
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,10 +5,9 @@ They work with a smooth log-sum-exp estimate of it,
 
     smooth_max(P, x) = ln sum_k exp((P x)_k),
 
-which sits within ln m of the exact maximum, and with its gradient, the
-per-variable growth rates that drive the multiplicative updates.  Both are
-evaluated with the usual shift trick (subtract the largest exponent) so
-they stay finite right up to the solvers' failure boundary.
+which sits within ln m of the exact maximum.  It is evaluated with the
+usual shift trick (subtract the largest exponent) so it stays finite right
+up to the solvers' failure boundary.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ __all__ = [
     "PackingSystem",
     "CoveringRow",
     "smooth_max",
-    "smooth_max_and_rates",
-    "rates",
-    "step_size",
     "violation",
 ]
 
@@ -137,40 +133,6 @@ def smooth_max(pt: PackingSystem | np.ndarray, x: np.ndarray) -> float:
     v = pt @ x
     hi = v.max()
     return float(hi + np.log(np.exp(v - hi).sum()))
-
-
-def smooth_max_and_rates(
-    pt: PackingSystem | np.ndarray, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """One-pass smooth max and its gradient, sharing the shifted normalizer."""
-    pt = _as_matrix(pt)
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(pt, x)
-    v = pt @ x
-    hi = v.max()
-    w = np.exp(v - hi)
-    s = w.sum()
-    return float(hi + np.log(s)), (w @ pt) / s
-
-
-def rates(pt: PackingSystem | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Growth rate of ``smooth_max`` per variable: softmax-weighted column sums."""
-    return smooth_max_and_rates(pt, x)[1]
-
-
-def step_size(row: CoveringRow, rate_vec: np.ndarray, mu: float) -> float:
-    """Update scale for one covering row.
-
-    Chosen so the multiplier ``1 + eps * c_j / rate_j`` never exceeds ``mu``
-    over the row, with equality at the argmin.  Variables carrying no packing
-    weight (rate 0) are excluded; they are incremented directly elsewhere.
-    """
-    rate_vec = np.asarray(rate_vec, dtype=np.float64)
-    r = rate_vec[row.indices]
-    mask = r > 0
-    if not mask.any():
-        raise ValueError("covering row has no overlap with any packing constraint")
-    return float((mu - 1.0) * np.min(r[mask] / row.values[mask]))
 
 
 def violation(p: PackingSystem | np.ndarray, x: np.ndarray) -> float:

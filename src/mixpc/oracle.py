@@ -33,18 +33,15 @@ _REFACTOR_EVERY = 64
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Dense LP: optimize c'x subject to row senses, x >= 0.
+    """Dense LP: minimize c'x subject to ``lhs x <= rhs`` or ``>= rhs`` by row, x >= 0.
 
-    ``senses[i]`` is one of ``"<="``, ``">="``, ``"="``.  Optional upper
-    bounds are appended internally as extra ``<=`` rows.
+    ``senses[i]`` is ``"<="`` or ``">="`` and every ``rhs[i]`` is nonnegative.
     """
 
     objective: np.ndarray
     lhs: np.ndarray
     senses: tuple[str, ...]
     rhs: np.ndarray
-    minimize: bool = True
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=np.float64)
@@ -57,20 +54,17 @@ class LpProblem:
         if len(self.senses) != b.size:
             raise ValueError("one sense per row required")
         for s in self.senses:
-            if s not in ("<=", ">=", "="):
+            if s not in ("<=", ">="):
                 raise ValueError(f"unknown sense {s!r}")
         if not (
             np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))
         ):
             raise ValueError("LP data must be finite")
+        if np.any(b < 0):
+            raise ValueError("right-hand sides must be nonnegative")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "lhs", a)
         object.__setattr__(self, "rhs", b)
-        if self.upper_bounds is not None:
-            ub = np.asarray(self.upper_bounds, dtype=np.float64)
-            if ub.shape != c.shape:
-                raise ValueError("upper bound vector has wrong shape")
-            object.__setattr__(self, "upper_bounds", ub)
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,16 @@ class _Tableau:
     def duals(self, c: np.ndarray) -> np.ndarray:
         return c[self.basis] @ self.binv
 
+    def pivot(self, row: int, col: int, d: np.ndarray, piv: float) -> None:
+        """Make column ``col`` basic in ``row``; ``d`` is ``B^-1 a[:, col]``."""
+        self.binv[row, :] /= piv
+        self.xb[row] /= piv
+        nz = np.nonzero(d)[0]
+        nz = nz[nz != row]
+        self.binv[nz] -= d[nz, None] * self.binv[row]
+        self.xb[nz] -= d[nz] * self.xb[row]
+        self.basis[row] = col
+
     def run(self, c: np.ndarray, allowed: np.ndarray, max_iters: int) -> str:
         """Bland-rule iterations until optimal/unbounded for min c'x."""
         for _ in range(max_iters):
@@ -123,78 +127,37 @@ class _Tableau:
             near = np.nonzero(ratios <= rmin + 1e-12)[0]
             # Bland again: break ratio ties on the smallest basic variable
             leave = int(min(near, key=lambda i: self.basis[i]))
-            piv = d[leave]
-            self.binv[leave, :] /= piv
-            self.xb[leave] /= piv
-            for i in range(self.nr):
-                if i != leave and d[i] != 0.0:
-                    self.binv[i, :] -= d[i] * self.binv[leave, :]
-                    self.xb[i] -= d[i] * self.xb[leave]
-            self.basis[leave] = enter
+            self.pivot(leave, enter, d, d[leave])
             self._since_refactor += 1
             if self._since_refactor >= _REFACTOR_EVERY:
                 self.refactor()
         raise RuntimeError("simplex iteration limit exceeded")
 
 
-def simplex_solve(problem: LpProblem, max_iters: int | None = None) -> LpSolution:
-    """Two-phase revised simplex; deterministic, returns primal and duals."""
+def simplex_solve(problem: LpProblem) -> LpSolution:
+    """Two-phase revised simplex; deterministic, returns primal and duals.
+
+    Columns are the variables, one slack per row (``+1`` on ``<=`` rows,
+    ``-1`` on ``>=`` rows), then one artificial per ``>=`` row.
+    """
     nv = problem.objective.size
-    c_user = problem.objective if problem.minimize else -problem.objective
-
-    lhs = problem.lhs
-    senses = list(problem.senses)
-    rhs = problem.rhs
-    nr_user = rhs.size
-    if problem.upper_bounds is not None:
-        lhs = np.vstack([lhs, np.eye(nv)])
-        senses = senses + ["<="] * nv
-        rhs = np.concatenate([rhs, problem.upper_bounds])
-
-    nr = rhs.size
-    flips = np.ones(nr)
-    a_rows = lhs.copy()
-    b = rhs.copy()
-    for i in range(nr):
-        if b[i] < 0:
-            a_rows[i] = -a_rows[i]
-            b[i] = -b[i]
-            flips[i] = -1.0
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    n_slack = sum(1 for s in senses if s in ("<=", ">="))
-    n_art = sum(1 for s in senses if s in (">=", "="))
-    ncols = nv + n_slack + n_art
+    b = problem.rhs
+    nr = b.size
+    ge = np.array([s == ">=" for s in problem.senses], dtype=bool)
+    ge_rows = np.nonzero(ge)[0]
+    art_cols = nv + nr + np.arange(ge_rows.size)
+    ncols = nv + nr + ge_rows.size
     a = np.zeros((nr, ncols))
-    a[:, :nv] = a_rows
-    basis: list[int] = []
-    art_cols: list[int] = []
-    s_at = nv
-    t_at = nv + n_slack
-    for i, s in enumerate(senses):
-        if s == "<=":
-            a[i, s_at] = 1.0
-            basis.append(s_at)
-            s_at += 1
-        elif s == ">=":
-            a[i, s_at] = -1.0
-            s_at += 1
-            a[i, t_at] = 1.0
-            basis.append(t_at)
-            art_cols.append(t_at)
-            t_at += 1
-        else:
-            a[i, t_at] = 1.0
-            basis.append(t_at)
-            art_cols.append(t_at)
-            t_at += 1
+    a[:, :nv] = problem.lhs
+    a[np.arange(nr), nv + np.arange(nr)] = np.where(ge, -1.0, 1.0)
+    a[ge_rows, art_cols] = 1.0
+    basis = nv + np.arange(nr)
+    basis[ge_rows] = art_cols
+    max_iters = 5000 + 200 * (nr + ncols)
 
-    if max_iters is None:
-        max_iters = 5000 + 200 * (nr + ncols)
-
-    tab = _Tableau(a, b, basis)
+    tab = _Tableau(a, b, basis.tolist())
     allowed = np.ones(ncols, dtype=bool)
-    if art_cols:
+    if ge_rows.size:
         c1 = np.zeros(ncols)
         c1[art_cols] = 1.0
         status = tab.run(c1, allowed, max_iters)
@@ -202,43 +165,29 @@ def simplex_solve(problem: LpProblem, max_iters: int | None = None) -> LpSolutio
             raise RuntimeError("phase-1 simplex did not converge")
         if float(c1[tab.basis] @ tab.xb) > FEAS_TOL:
             return LpSolution(status="infeasible")
+        allowed[art_cols] = False
         # pivot artificials out of the basis where possible; a row whose
         # artificial cannot leave is redundant and keeps it at value 0
-        art_set = set(art_cols)
-        for rowi in range(nr):
-            if tab.basis[rowi] in art_set:
-                lane = tab.binv[rowi, :] @ tab.a
-                for j in range(ncols):
-                    if j not in art_set and abs(lane[j]) > 1e-7:
-                        piv = lane[j]
-                        d = tab.binv @ tab.a[:, j]
-                        tab.binv[rowi, :] /= piv
-                        tab.xb[rowi] /= piv
-                        for i2 in range(nr):
-                            if i2 != rowi and d[i2] != 0.0:
-                                tab.binv[i2, :] -= d[i2] * tab.binv[rowi, :]
-                                tab.xb[i2] -= d[i2] * tab.xb[rowi]
-                        tab.basis[rowi] = j
-                        break
-        allowed[art_cols] = False
+        for rowi in np.nonzero(~allowed[tab.basis])[0]:
+            lane = tab.binv[rowi, :] @ tab.a
+            enter = np.nonzero(allowed & (np.abs(lane) > 1e-7))[0]
+            if enter.size:
+                j = int(enter[0])
+                tab.pivot(rowi, j, tab.binv @ tab.a[:, j], lane[j])
 
     c2 = np.zeros(ncols)
-    c2[:nv] = c_user
+    c2[:nv] = problem.objective
     status = tab.run(c2, allowed, max_iters)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
     x_full = np.zeros(ncols)
     x_full[tab.basis] = tab.xb
-    primal = np.maximum(x_full[:nv], 0.0)
-    y_eq = tab.duals(c2)
-    duals = (y_eq[:nr] * flips)[:nr_user]
-    obj = float(c_user @ x_full[:nv])
-    if not problem.minimize:
-        obj = -obj
-        duals = -duals
     return LpSolution(
-        status="optimal", objective=obj, primal=primal, duals=duals
+        status="optimal",
+        objective=float(problem.objective @ x_full[:nv]),
+        primal=np.maximum(x_full[:nv], 0.0),
+        duals=tab.duals(c2),
     )
 
 
@@ -304,72 +253,41 @@ def ccfl_opt1(instance, z_value: float) -> LpSolution:
     """
     m = instance.m
     n = instance.n
-    cand = [instance.candidates(j, z_value) for j in range(n)]
-    if any(f.size == 0 for f in cand):
+    clients = instance.clients
+    masks = [instance.entry_cost(j) <= z_value for j in range(n)]
+    if not all(mask.any() for mask in masks):
         return LpSolution(status="infeasible")
     # variable layout: x-blocks per client, then y (m), then lambda
-    offsets = []
-    nx = 0
-    for f in cand:
-        offsets.append(nx)
-        nx += f.size
+    fac = np.concatenate([cl.facilities[mk] for cl, mk in zip(clients, masks)])
+    demand = np.concatenate([cl.demand[mk] for cl, mk in zip(clients, masks)])
+    cost = np.concatenate([cl.assign_cost[mk] for cl, mk in zip(clients, masks)])
+    owner = np.repeat(np.arange(n), [int(mk.sum()) for mk in masks])
+    nx = fac.size
     ny_at = nx
     lam_at = nx + m
-    nv = nx + m + 1
+    xs = np.arange(nx)
+    ys = np.arange(m)
 
-    rows_lhs: list[np.ndarray] = []
-    senses: list[str] = []
-    rhs: list[float] = []
+    # rows, all ">=": per client sum_t x >= 1; per (client, candidate)
+    # y_i - x >= 0; per facility z y_i - sum demand x >= 0; per facility
+    # lambda - y_i >= 0; lambda >= 1
+    con_at = n + nx
+    lam_rows = con_at + m
+    lhs = np.zeros((n + nx + 2 * m + 1, nx + m + 1))
+    lhs[owner, xs] = 1.0
+    lhs[n + xs, ny_at + fac] = 1.0
+    lhs[n + xs, xs] = -1.0
+    lhs[con_at + ys, ny_at + ys] = z_value
+    lhs[con_at + fac, xs] = -demand
+    lhs[lam_rows + ys, lam_at] = 1.0
+    lhs[lam_rows + ys, ny_at + ys] = -1.0
+    lhs[-1, lam_at] = 1.0
+    rhs = np.zeros(lhs.shape[0])
+    rhs[:n] = 1.0
+    rhs[-1] = 1.0
 
-    def new_row() -> np.ndarray:
-        r = np.zeros(nv)
-        rows_lhs.append(r)
-        return r
-
-    for j in range(n):
-        r = new_row()
-        r[offsets[j] : offsets[j] + cand[j].size] = 1.0
-        senses.append(">=")
-        rhs.append(1.0)
-    for j in range(n):
-        for t, i in enumerate(cand[j]):
-            r = new_row()
-            r[ny_at + i] = 1.0
-            r[offsets[j] + t] = -1.0
-            senses.append(">=")
-            rhs.append(0.0)
-    for i in range(m):
-        r = new_row()
-        r[ny_at + i] = z_value
-        for j in range(n):
-            hit = np.nonzero(cand[j] == i)[0]
-            if hit.size:
-                t = int(hit[0])
-                r[offsets[j] + t] = -instance.clients[j].demand_for(i)
-        senses.append(">=")
-        rhs.append(0.0)
-    for i in range(m):
-        r = new_row()
-        r[lam_at] = 1.0
-        r[ny_at + i] = -1.0
-        senses.append(">=")
-        rhs.append(0.0)
-    r = new_row()
-    r[lam_at] = 1.0
-    senses.append(">=")
-    rhs.append(1.0)
-
-    obj = np.zeros(nv)
-    for j in range(n):
-        cl = instance.clients[j]
-        for t, i in enumerate(cand[j]):
-            obj[offsets[j] + t] = cl.assign_cost_for(i)
-    obj[ny_at : ny_at + m] = instance.fixed_charge
-    obj[lam_at] = z_value
-
-    return simplex_solve(
-        LpProblem(obj, np.vstack(rows_lhs), tuple(senses), np.array(rhs))
-    )
+    obj = np.concatenate([cost, instance.fixed_charge, [z_value]])
+    return simplex_solve(LpProblem(obj, lhs, (">=",) * rhs.size, rhs))
 
 
 def brute_force_zstar(instance, max_m: int = 8, max_n: int = 12) -> float:

@@ -169,8 +169,7 @@ def test_umsc_to_ccfl_roundtrip_structure():
         cl = inst.clients[j]
         assert set(cl.facilities.tolist()) == set(job)
         assert np.allclose(cl.assign_cost, 0.0)
-        for i in job:
-            assert cl.demand_for(i) == job[i]
+        assert cl.demand.tolist() == [job[i] for i in cl.facilities.tolist()]
     # odd jobs feasible on exactly machine 1 and machine (j+3)/2
     assert set(inst.clients[2].facilities.tolist()) == {0, 2}
 
@@ -181,11 +180,12 @@ def test_assignment_cost_preserved_under_mapping():
     # assign every job to its non-machine-1 option and compare totals
     loads_u = {}
     loads_c = np.zeros(inst.m)
+    demand = inst.dense_demand()
     opened = set()
     for j, job in enumerate(umsc.jobs):
         i = max(job)
         loads_u[i] = loads_u.get(i, 0.0) + job[i]
-        loads_c[i] += inst.clients[j].demand_for(i)
+        loads_c[i] += demand[i, j]
         opened.add(i)
     total_u = max(loads_u.values()) + sum(umsc.costs[i] for i in opened)
     total_c = loads_c.max() + inst.fixed_charge[sorted(opened)].sum()

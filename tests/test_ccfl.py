@@ -12,13 +12,13 @@ from mixpc import (
     ccfl_cost,
     ccfl_dual_certificate,
     ccfl_opt1,
-    ccfl_rates,
     gamma_trials,
     gen_random_ccfl,
     init_client,
 )
 from mixpc.ccfl import CcflClient, CcflFractionalSolver, new_trial
 from mixpc.rng import rng_for
+from reference_maths import ccfl_rates
 
 E = math.e
 

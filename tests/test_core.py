@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mixpc import CoveringRow, PackingSystem, rates, smooth_max, step_size, violation
+from mixpc import CoveringRow, PackingSystem, smooth_max, violation
 from mixpc.rng import rng_for
+from reference_maths import rates, step_size
 
 
 def test_smooth_max_all_zero_exponents():

@@ -15,6 +15,7 @@ from mixpc import (
     umsc_to_ccfl,
 )
 from mixpc.ccfl import CcflClient, CcflInstance
+from mixpc.oracle import _Tableau
 from mixpc.rng import rng_for
 
 
@@ -52,17 +53,42 @@ def test_statuses():
     assert simplex_solve(unbounded).status == "unbounded"
 
 
-def test_maximization_sense():
-    # max x1 + x2 in a box
-    prob = LpProblem(
-        np.array([1.0, 1.0]),
-        np.array([[1.0, 0.0], [0.0, 1.0]]),
-        ("<=", "<="),
-        np.array([2.0, 3.0]),
-        minimize=False,
-    )
-    sol = simplex_solve(prob)
-    assert sol.objective == pytest.approx(5.0, abs=1e-10)
+@pytest.mark.parametrize(
+    "senses, rhs",
+    [(("=",), [1.0]), (("<",), [1.0]), ((">=",), [-1.0])],
+    ids=["equality", "strict", "negative-rhs"],
+)
+def test_lp_problem_rejects_unsupported_rows(senses, rhs):
+    with pytest.raises(ValueError):
+        LpProblem(np.array([1.0]), np.array([[1.0]]), senses, np.array(rhs))
+
+
+def _pivot_row_loop(binv, xb, row, d, piv):
+    """Reference pivot: the rank-1 update written one row at a time."""
+    binv[row, :] /= piv
+    xb[row] /= piv
+    for i in range(binv.shape[0]):
+        if i != row and d[i] != 0.0:
+            binv[i, :] -= d[i] * binv[row, :]
+            xb[i] -= d[i] * xb[row]
+
+
+def test_pivot_matches_row_loop_bit_for_bit():
+    g = rng_for(26, "oracle-pivot")
+    for _ in range(20):
+        nr = int(g.integers(2, 9))
+        a = g.random((nr, nr + 4)) * 2.0 - 1.0
+        tab = _Tableau(a, g.random(nr), list(range(4, nr + 4)))
+        tab.binv = g.random((nr, nr))
+        d = g.random(nr) * (g.random(nr) < 0.6)  # some exact zeros
+        row = int(g.integers(0, nr))
+        d[row] = 0.5 + g.random()
+        binv, xb = tab.binv.copy(), tab.xb.copy()
+        _pivot_row_loop(binv, xb, row, d, d[row])
+        tab.pivot(row, 0, d, d[row])
+        assert np.array_equal(tab.binv, binv)
+        assert np.array_equal(tab.xb, xb)
+        assert tab.basis[row] == 0
 
 
 def _random_feasible_lp(g: np.random.Generator):
@@ -81,35 +107,27 @@ def _random_feasible_lp(g: np.random.Generator):
             senses.append(">=")
             rhs[i] = max(a[i] @ x0 - margin, 0.0)
     c = g.random(nv) * 2.0 - 0.5
-    ub = x0 + 5.0
-    return LpProblem(c, a, tuple(senses), rhs, upper_bounds=ub), x0
+    # the box x <= x0 + 5 as explicit rows, so duals cover every constraint
+    return LpProblem(
+        c,
+        np.vstack([a, np.eye(nv)]),
+        tuple(senses) + ("<=",) * nv,
+        np.concatenate([rhs, x0 + 5.0]),
+    )
 
 
 def test_random_lps_match_scipy():
     # independently coded solver cross-check
     g = rng_for(21, "oracle-scipy")
     for _ in range(40):
-        prob, _ = _random_feasible_lp(g)
+        prob = _random_feasible_lp(g)
         mine = simplex_solve(prob)
         assert mine.status == "optimal"
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row, s, b in zip(prob.lhs, prob.senses, prob.rhs):
-            if s == "<=":
-                a_ub.append(row)
-                b_ub.append(b)
-            elif s == ">=":
-                a_ub.append(-row)
-                b_ub.append(-b)
-            else:
-                a_eq.append(row)
-                b_eq.append(b)
+        sign = np.array([1.0 if s == "<=" else -1.0 for s in prob.senses])
         ref = scipy.optimize.linprog(
             prob.objective,
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=[(0, u) for u in prob.upper_bounds],
+            A_ub=prob.lhs * sign[:, None],
+            b_ub=prob.rhs * sign,
             method="highs",
         )
         assert ref.status == 0
@@ -119,14 +137,7 @@ def test_random_lps_match_scipy():
 def test_strong_duality_and_slackness_random():
     g = rng_for(22, "oracle-duality")
     for _ in range(60):
-        prob, _ = _random_feasible_lp(g)
-        # fold the box into explicit rows so duals cover every constraint
-        full = LpProblem(
-            prob.objective,
-            np.vstack([prob.lhs, np.eye(prob.objective.size)]),
-            tuple(prob.senses) + ("<=",) * prob.objective.size,
-            np.concatenate([prob.rhs, prob.upper_bounds]),
-        )
+        full = _random_feasible_lp(g)
         sol = simplex_solve(full)
         assert sol.status == "optimal"
         x, y = sol.primal, sol.duals
@@ -134,7 +145,7 @@ def test_strong_duality_and_slackness_random():
         for i, s in enumerate(full.senses):
             if s == "<=":
                 assert resid[i] <= 1e-8
-            elif s == ">=":
+            else:
                 assert resid[i] >= -1e-8
             assert abs(y[i] * resid[i]) <= 1e-7 * max(1.0, abs(full.rhs[i]))
         dual_obj = float(y @ full.rhs)
@@ -222,6 +233,74 @@ def test_ccfl_opt1_uniform_cross_check():
     assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
 
 
+def _ccfl_opt1_highs(inst, z):
+    """The assignment LP over dense (facility, client) variables, by HiGHS.
+
+    Variables are x[i, j] (row-major), y, lambda; x[i, j] is fixed at 0
+    unless facility i is a candidate for client j at guess z.
+    """
+    m, n = inst.m, inst.n
+    demand = inst.dense_demand()
+    assign = inst.dense_assign_cost()
+    cand = np.zeros((m, n), dtype=bool)
+    for j, cl in enumerate(inst.clients):
+        for t, i in enumerate(cl.facilities):
+            cost = inst.fixed_charge[i] + cl.demand[t] + cl.assign_cost[t]
+            cand[i, j] = cost <= z
+    nx = m * n
+    nv = nx + m + 1
+    lam = nv - 1
+    rows, b_ub = [], []
+    for j in range(n):  # sum_i x_ij >= 1
+        r = np.zeros(nv)
+        r[[i * n + j for i in range(m)]] = -1.0
+        rows.append(r)
+        b_ub.append(-1.0)
+    for i in range(m):
+        for j in range(n):  # x_ij <= y_i
+            r = np.zeros(nv)
+            r[i * n + j] = 1.0
+            r[nx + i] = -1.0
+            rows.append(r)
+            b_ub.append(0.0)
+    for i in range(m):  # sum_j p_ij x_ij <= z y_i
+        r = np.zeros(nv)
+        r[i * n : (i + 1) * n] = demand[i]
+        r[nx + i] = -z
+        rows.append(r)
+        b_ub.append(0.0)
+    for i in range(m):  # y_i <= lambda
+        r = np.zeros(nv)
+        r[nx + i] = 1.0
+        r[lam] = -1.0
+        rows.append(r)
+        b_ub.append(0.0)
+    r = np.zeros(nv)
+    r[lam] = -1.0
+    rows.append(r)
+    b_ub.append(-1.0)
+    c = np.concatenate([assign.ravel(), inst.fixed_charge, [z]])
+    bounds = [(0.0, None if ok else 0.0) for ok in cand.ravel()]
+    bounds += [(0.0, None)] * (m + 1)
+    ref = scipy.optimize.linprog(
+        c, A_ub=np.array(rows), b_ub=np.array(b_ub), bounds=bounds, method="highs"
+    )
+    return ref, cand
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ccfl_opt1_partial_candidates_match_highs(seed):
+    inst = gen_random_ccfl(3 + seed % 3, 5 + seed, seed=800 + seed)
+    costs = np.concatenate([inst.entry_cost(j) for j in range(inst.n)])
+    z = float(np.quantile(costs, 0.7))
+    ref, cand = _ccfl_opt1_highs(inst, z)
+    assert (~cand.all(axis=0) & cand.any(axis=0)).any()  # a strict subset
+    sol = ccfl_opt1(inst, z)
+    assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
+    if sol.status == "optimal":
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
 def test_brute_force_single_effective_facility():
     # second facility priced out: optimum opens only the cheap one
     clients = tuple(
@@ -257,9 +336,9 @@ def test_brute_force_below_random_assignments():
             for j, i in enumerate(pick):
                 i = int(i)
                 cl = inst.clients[j]
-                t = cl.position_of(i)
-                loads[i] += cl.demand[t]
-                cost += cl.assign_cost[t]
+                # every facility is feasible, so facility i sits at position i
+                loads[i] += cl.demand[i]
+                cost += cl.assign_cost[i]
                 opened[i] = True
             cost += inst.fixed_charge[opened].sum() + loads.max()
             assert zstar <= cost + 1e-9

@@ -236,6 +236,30 @@ end
 """
 
 
+# coefficients so far apart that the simplex loses the feasible point
+OMPC_EXTREME_RANGE = """mixpc-instance v1
+kind ompc
+m 2
+n 2
+packing 2
+0 0 1e300
+1 1 1e-5
+covering 2
+0:1e300 1:1.0
+0:1.0
+end
+"""
+
+
+def test_cli_internal_error_exits_3(tmp_path, capsys):
+    path = tmp_path / "extreme.txt"
+    path.write_text(OMPC_EXTREME_RANGE)
+    assert main(["oracle", "--instance", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: offline packing/covering LP came back infeasible\n"
+    assert "Traceback" not in err
+
+
 def test_cli_zero_cost_entry_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "zero.txt"
     path.write_text(ZERO_COST_CCFL)
