@@ -24,7 +24,6 @@ _E = float(np.e)
 # status codes shared by the phase kernels
 SATISFIED = 0
 FAILED = 1
-CAP_HIT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -32,22 +31,20 @@ CAP_HIT = 2
 #
 # Mutates x, pvx (= scaled P @ x), and z (running per-row max of the
 # softmax weights) in place.  Returns
-#   (status, phases, dual_inc, max_tl, d_est, d_dual)
-# where d_est/d_dual hold the per-phase increase of the penalty estimate
-# and of the dual objective.
+#   (status, phases, dual_inc, max_tl, min_gap)
+# where min_gap is the least per-phase primal-dual gap, the dual increase
+# e * eps minus the increase of the penalty estimate, over the phases run
+# (inf when none ran).
 # ---------------------------------------------------------------------------
 
 
-def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack):
+def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
     pcols = pt[:, idx]
-    d_est = np.empty(cap)
-    d_dual = np.empty(cap)
     phases = 0
     dual_inc = 0.0
+    min_gap = math.inf
     cover = float(val @ x[idx])
     while cover < 1.0 - slack:
-        if phases == cap:
-            return CAP_HIT, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
         hi = pvx.max()
         w = np.exp(pvx - hi)
         s = w.sum()
@@ -67,13 +64,14 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack)
         np.maximum(z, w2 / s2, out=z)
         if hi2 > max_tl:
             max_tl = hi2
-        d_est[phases] = est1 - est0
-        d_dual[phases] = _E * eps
+        gap = _E * eps - (est1 - est0)
+        if gap < min_gap:
+            min_gap = gap
         dual_inc += _E * eps
         phases += 1
         if hi2 >= fail_level:
-            return FAILED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
-    return SATISFIED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
+            return FAILED, phases, dual_inc, max_tl, min_gap
+    return SATISFIED, phases, dual_inc, max_tl, min_gap
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +83,10 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack)
 # is tracked by construction, never by float comparison); grew flags that
 # the variable multiplied while at the maximum, i.e. it now holds the
 # maximum alone.  Returns
-#   (status, phases, alpha_inc, max_tl, d_cost, d_dual).
+#   (status, phases, alpha_inc, max_tl, min_gap)
+# where min_gap is the least per-phase primal-dual gap, the dual increase
+# e * eps minus the increase of the potential, over the phases run (inf
+# when none ran).
 # ---------------------------------------------------------------------------
 
 
@@ -108,19 +109,15 @@ def _ccfl_cost_terms(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma):
 
 def ccfl_client_phases(
     fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
-    s2_rest, asum_rest, zz, gamma, mu, fail_level, cap,
+    s2_rest, asum_rest, zz, gamma, mu, fail_level,
 ):
-    d_cost = np.empty(cap)
-    d_dual = np.empty(cap)
     phases = 0
     alpha_inc = 0.0
     max_tl = -np.inf
+    min_gap = math.inf
     cover = float(x_j.sum())
     status = SATISFIED
     while cover < 1.0:
-        if phases == cap:
-            status = CAP_HIT
-            break
         cost0, w1, s1, e2, s2, t1 = _ccfl_cost_terms(
             load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma
         )
@@ -153,8 +150,9 @@ def ccfl_client_phases(
         cost1 = _ccfl_cost_terms(
             load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma
         )[0]
-        d_cost[phases] = cost1 - cost0
-        d_dual[phases] = _E * eps
+        gap = _E * eps - (cost1 - cost0)
+        if gap < min_gap:
+            min_gap = gap
         phases += 1
         if cost1 > fail_level:
             status = FAILED
@@ -163,7 +161,7 @@ def ccfl_client_phases(
     tl = float((load / (zz * gamma) + rowmax / gamma).max())
     if tl > max_tl:
         max_tl = tl
-    return status, phases, alpha_inc, max_tl, d_cost[:phases], d_dual[:phases]
+    return status, phases, alpha_inc, max_tl, min_gap
 
 
 # ---------------------------------------------------------------------------

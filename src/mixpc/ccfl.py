@@ -32,7 +32,6 @@ __all__ = [
     "CcflTrialState",
     "CcflFractionalSolver",
     "CcflFractionalSolution",
-    "candidate_facilities",
     "init_client",
     "assign_fractional",
     "ccfl_cost",
@@ -172,11 +171,6 @@ class CcflInstance:
         return out
 
 
-def candidate_facilities(instance: CcflInstance, j: int, z_value: float) -> np.ndarray:
-    """Facilities whose total single-assignment cost fits under ``z_value``."""
-    return instance.candidates(j, z_value)
-
-
 # ---------------------------------------------------------------------------
 # Trial state and the per-client update loop
 # ---------------------------------------------------------------------------
@@ -196,15 +190,12 @@ class CcflTrialState:
     eta: np.ndarray  # (m,) running softmax maxima, congestion term
     alpha: np.ndarray  # (n,) dual per client
     z_prev: dict[int, float] = field(default_factory=dict)
-    z_values: dict[tuple[int, int], float] = field(default_factory=dict)
     z_ratio_log: dict[tuple[int, int], float] = field(default_factory=dict)
     max_scaled_violation: float = 0.0
     failed: bool = False
     initialized: dict[int, np.ndarray] = field(default_factory=dict)  # j -> F_j
-    init_costs: dict[int, float] = field(default_factory=dict)
     phases_per_client: dict[int, int] = field(default_factory=dict)
-    d_cost: list[float] = field(default_factory=list)
-    d_dual: list[float] = field(default_factory=list)
+    min_pd_gap: float = math.inf  # least per-phase dual minus cost increase
 
     @property
     def fail_level(self) -> float:
@@ -255,7 +246,7 @@ def init_client(state: CcflTrialState, j: int) -> float:
     """Set the arriving client's variables to their entry values.
 
     Every candidate facility starts at ``min-entry-cost / (2 m n entry_cost)``;
-    the potential increase of this step is recorded and returned.
+    the potential increase of this step is returned.
     """
     if j in state.initialized:
         raise ValueError(f"client {j} already initialized in this trial")
@@ -283,10 +274,8 @@ def init_client(state: CcflTrialState, j: int) -> float:
             state.z_prev[i] = v
     state.load[fj] += p_f * x0
     state.initialized[j] = fj
-    init_j = ccfl_cost(state) - cost_before
-    state.init_costs[j] = init_j
     state.max_scaled_violation = max(state.max_scaled_violation, scaled_violation(state))
-    return init_j
+    return ccfl_cost(state) - cost_before
 
 
 def _client_arrays(state: CcflTrialState, j: int):
@@ -316,39 +305,29 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
     dense_a = inst.dense_assign_cost()
     asum_rest = float((dense_a * state.x).sum() - a @ x_j)
 
-    x0min = x_j.min()
-    per_var = math.log(max(state.mu / max(x0min, 1e-300), 2.0)) / math.log(state.mu)
-    cap = max(64, int(4 * fac.size * math.ceil(per_var)))
-    while True:
-        status, phases, alpha_inc, max_tl, d_cost, d_dual = _kernels.ccfl_client_phases(
-            fac,
-            p,
-            a,
-            inst.fixed_charge,
-            x_j,
-            at_max,
-            grew,
-            state.rowmax,
-            state.load,
-            chi_j,
-            state.eta,
-            s2_rest,
-            asum_rest,
-            state.z_value,
-            g,
-            state.mu,
-            state.fail_level,
-            cap,
-        )
-        state.alpha[j] += alpha_inc
-        state.phases_per_client[j] = state.phases_per_client.get(j, 0) + phases
-        state.d_cost.extend(d_cost.tolist())
-        state.d_dual.extend(d_dual.tolist())
-        state.max_scaled_violation = max(state.max_scaled_violation, float(max_tl))
-        if status == _kernels.CAP_HIT:
-            cap *= 2
-            continue
-        break
+    status, phases, alpha_inc, max_tl, min_gap = _kernels.ccfl_client_phases(
+        fac,
+        p,
+        a,
+        inst.fixed_charge,
+        x_j,
+        at_max,
+        grew,
+        state.rowmax,
+        state.load,
+        chi_j,
+        state.eta,
+        s2_rest,
+        asum_rest,
+        state.z_value,
+        g,
+        state.mu,
+        state.fail_level,
+    )
+    state.alpha[j] += alpha_inc
+    state.phases_per_client[j] = state.phases_per_client.get(j, 0) + phases
+    state.max_scaled_violation = max(state.max_scaled_violation, float(max_tl))
+    state.min_pd_gap = min(state.min_pd_gap, float(min_gap))
 
     state.x[fac, j] = x_j
     state.chi[fac, j] = chi_j
@@ -363,7 +342,6 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
     for t in range(fac.size):
         i = int(fac[t])
         zcur = max(state.z_prev[i], float(x_j[t]))
-        state.z_values[(i, j)] = zcur
         state.z_ratio_log[(i, j)] = math.log(zcur / state.z_prev[i])
         state.z_prev[i] = zcur
     if status == _kernels.FAILED:

@@ -55,7 +55,9 @@ class OmpcTrialState:
     ``pvx`` caches the scaled packing image of ``x``; ``z_running`` holds,
     per packing row, the running maximum of its softmax weight over all
     snapshots (initial point and every phase end); ``max_scaled_violation``
-    tracks the largest scaled violation seen at those snapshots.
+    tracks the largest scaled violation seen at those snapshots, and
+    ``min_pd_gap`` the least per-phase primal-dual gap (dual increase minus
+    estimate increase) over the trial's phases.
     """
 
     system: PackingSystem
@@ -70,8 +72,7 @@ class OmpcTrialState:
     failed: bool = False
     rows_seen: list[int] = field(default_factory=list)
     phases_per_row: dict[int, int] = field(default_factory=dict)
-    d_est: list[float] = field(default_factory=list)
-    d_dual: list[float] = field(default_factory=list)
+    min_pd_gap: float = math.inf
 
     @property
     def scaled_matrix(self) -> np.ndarray:
@@ -90,13 +91,19 @@ def init_trial(
     """Fresh trial with every variable at ``1 / (d1^2 rho kappa1)``.
 
     ``d1`` is the largest support over the packing rows and the first
-    covering row; ``kappa1`` the first row's largest coefficient.
+    covering row; ``kappa1`` the first row's largest coefficient.  Raises
+    ``ValueError`` when ``x0`` or ``gamma`` is not positive and finite,
+    which happens when the coefficients span more than floats hold.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     d1 = max(system.d, first_row.nnz)
     kappa1 = first_row.max_coeff
     x0 = 1.0 / (d1 * d1 * system.rho * kappa1)
+    if not (0.0 < x0 < math.inf and 0.0 < gamma < math.inf):
+        raise ValueError(
+            f"coefficient range too wide: packing max/min {system.rho:g} and "
+            f"first covering row max {kappa1:g} put the start point at {x0:g} "
+            f"and the scale at {gamma:g}; both must be positive and finite"
+        )
     x = np.full(system.n, x0)
     pt = system.scaled(gamma)
     pvx = pt @ x
@@ -113,16 +120,6 @@ def init_trial(
         duals_y={},
         max_scaled_violation=float(hi),
     )
-
-
-def _phase_cap(state: OmpcTrialState, row: CoveringRow) -> int:
-    # provable budget: each phase multiplies some variable by mu, each
-    # variable moves between its initial value and mu / min c; pad it.
-    sys_ = state.system
-    d1sq_rk = 1.0 / state.x.min() if state.x.min() > 0 else 1.0
-    span = state.mu * max(d1sq_rk, 1.0) / min(row.min_coeff, 1.0)
-    per_var = math.log(max(span, 2.0)) / math.log(state.mu)
-    return max(64, int(4 * sys_.n * math.ceil(per_var)))
 
 
 def process_constraint(
@@ -151,36 +148,27 @@ def process_constraint(
         state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0)
         return True
 
-    pt = state.scaled_matrix
-    cap = _phase_cap(state, row)
-    fail_level = fail_level_for(state.system.m)
-    while True:
-        status, phases, dual_inc, max_tl, d_est, d_dual = _kernels.ompc_row_phases(
-            pt,
-            row.indices,
-            row.values,
-            state.x,
-            state.pvx,
-            state.z_running,
-            state.max_scaled_violation,
-            state.mu,
-            fail_level,
-            cap,
-            SAT_SLACK,
-        )
-        state.phase_index += phases
-        state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0) + phases
-        state.duals_y[row_id] += dual_inc
-        state.max_scaled_violation = float(max_tl)
-        state.d_est.extend(d_est.tolist())
-        state.d_dual.extend(d_dual.tolist())
-        if status == _kernels.CAP_HIT:
-            cap *= 2
-            continue
-        if status == _kernels.FAILED:
-            state.failed = True
-            return False
-        return True
+    status, phases, dual_inc, max_tl, min_gap = _kernels.ompc_row_phases(
+        state.scaled_matrix,
+        row.indices,
+        row.values,
+        state.x,
+        state.pvx,
+        state.z_running,
+        state.max_scaled_violation,
+        state.mu,
+        fail_level_for(state.system.m),
+        SAT_SLACK,
+    )
+    state.phase_index += phases
+    state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0) + phases
+    state.duals_y[row_id] += dual_inc
+    state.max_scaled_violation = float(max_tl)
+    state.min_pd_gap = min(state.min_pd_gap, float(min_gap))
+    if status == _kernels.FAILED:
+        state.failed = True
+        return False
+    return True
 
 
 def dual_certificate(

@@ -12,27 +12,24 @@ import numpy as np
 import pytest
 
 from mixpc import _kernels
-from mixpc._kernels import CAP_HIT, FAILED, SATISFIED
+from mixpc._kernels import FAILED, SATISFIED
 from mixpc.rng import rng_for
 
 _E = float(np.e)
 
 
-def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, slack):
+def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
     m = pvx.shape[0]
     r = idx.shape[0]
-    d_est = np.empty(cap)
-    d_dual = np.empty(cap)
     w = np.empty(m)
     ratio = np.empty(r)
     phases = 0
     dual_inc = 0.0
+    min_gap = math.inf
     cover = 0.0
     for t in range(r):
         cover += val[t] * x[idx[t]]
     while cover < 1.0 - slack:
-        if phases == cap:
-            return CAP_HIT, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
         hi = pvx[0]
         for k in range(1, m):
             if pvx[k] > hi:
@@ -74,37 +71,32 @@ def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, cap, 
                 z[k] = zk
         if hi2 > max_tl:
             max_tl = hi2
-        d_est[phases] = est1 - est0
-        d_dual[phases] = _E * eps
+        min_gap = min(min_gap, _E * eps - (est1 - est0))
         dual_inc += _E * eps
         phases += 1
         if hi2 >= fail_level:
-            return FAILED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
-    return SATISFIED, phases, dual_inc, max_tl, d_est[:phases], d_dual[:phases]
+            return FAILED, phases, dual_inc, max_tl, min_gap
+    return SATISFIED, phases, dual_inc, max_tl, min_gap
 
 
 def _ccfl_client_phases_loop(
     fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
-    s2_rest, asum_rest, zz, gamma, mu, fail_level, cap,
+    s2_rest, asum_rest, zz, gamma, mu, fail_level,
 ):
     m = load.shape[0]
     f = fac.shape[0]
-    d_cost = np.empty(cap)
-    d_dual = np.empty(cap)
     w1 = np.empty(m)
     e2 = np.empty(f)
     rate = np.empty(f)
     phases = 0
     alpha_inc = 0.0
     max_tl = -np.inf
+    min_gap = math.inf
     cover = 0.0
     for t in range(f):
         cover += x_j[t]
     status = SATISFIED
     while cover < 1.0:
-        if phases == cap:
-            status = CAP_HIT
-            break
         # snapshot of both penalty terms
         hi1 = load[0]
         for k in range(1, m):
@@ -197,8 +189,7 @@ def _ccfl_client_phases_loop(
         for t in range(f):
             ax += a[t] * x_j[t]
         cost1 = zz * est1 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
-        d_cost[phases] = cost1 - cost0
-        d_dual[phases] = _E * eps
+        min_gap = min(min_gap, _E * eps - (cost1 - cost0))
         phases += 1
         if cost1 > fail_level:
             status = FAILED
@@ -210,7 +201,7 @@ def _ccfl_client_phases_loop(
             tl = v
     if tl > max_tl:
         max_tl = tl
-    return status, phases, alpha_inc, max_tl, d_cost[:phases], d_dual[:phases]
+    return status, phases, alpha_inc, max_tl, min_gap
 
 
 def _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
@@ -263,19 +254,15 @@ def test_ompc_kernel_matches_loop():
         args_np = _ompc_inputs(seed)
         args_lp = _ompc_inputs(seed)
         fail = 3.0 * math.log(math.e * 4)
-        out_np = _kernels.ompc_row_phases(
-            *args_np[:6], 0.0, args_np[6], fail, 10_000, 1e-12
-        )
-        out_lp = _ompc_row_phases_loop(
-            *args_lp[:6], 0.0, args_lp[6], fail, 10_000, 1e-12
-        )
+        out_np = _kernels.ompc_row_phases(*args_np[:6], 0.0, args_np[6], fail, 1e-12)
+        out_lp = _ompc_row_phases_loop(*args_lp[:6], 0.0, args_lp[6], fail, 1e-12)
         assert out_np[0] == out_lp[0]  # status
         assert out_np[1] == out_lp[1]  # phases
         assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
         assert out_np[3] == pytest.approx(out_lp[3], rel=1e-12)
         np.testing.assert_allclose(args_np[3], args_lp[3], rtol=1e-12)  # x
         np.testing.assert_allclose(args_np[5], args_lp[5], rtol=1e-12)  # z
-        np.testing.assert_allclose(out_np[4], out_lp[4], rtol=0, atol=1e-12)
+        assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
 
 
 def _ccfl_inputs(seed):
@@ -302,7 +289,7 @@ def _ccfl_inputs(seed):
     mu = 1.0 + 1.0 / (6.0 * math.log(math.e * m * n))
     fail = 5.0 * zz * math.log(math.e * m * n)
     return (fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
-            s2_rest, 0.0, zz, 1.0, mu, fail, 10_000)
+            s2_rest, 0.0, zz, 1.0, mu, fail)
 
 
 def test_ccfl_kernel_matches_loop():
@@ -314,6 +301,7 @@ def test_ccfl_kernel_matches_loop():
         assert out_np[0] == out_lp[0]
         assert out_np[1] == out_lp[1]
         assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
+        assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
         np.testing.assert_allclose(a_np[4], a_lp[4], rtol=1e-12)  # x_j
         np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # rowmax
         np.testing.assert_allclose(a_np[10], a_lp[10], rtol=1e-12)  # eta

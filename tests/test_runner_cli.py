@@ -178,14 +178,22 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("bound check ran with bound_check=False")
 
+    suites = {"ompc-random": 1, "ccfl-random": 1, "ompc-adversary": 6}
+    checked = {
+        suite: run_experiment(ExperimentConfig(suite=suite, count=1, seed=1))
+        for suite in suites
+    }
     monkeypatch.setattr("mixpc.runner.check_ompc_run", refuse)
     monkeypatch.setattr("mixpc.runner.check_ccfl_run", refuse)
-    for suite in ("ompc-random", "ccfl-random"):
+    for suite, records in suites.items():
         rep = run_experiment(
             ExperimentConfig(suite=suite, count=1, seed=1, bound_check=False)
         )
-        assert len(rep.records) == 1
+        assert len(rep.records) == records
         assert rep.passed
+        assert strip_wall_time(report_to_csv(rep)) == strip_wall_time(
+            report_to_csv(checked[suite])
+        )
 
 
 @pytest.mark.parametrize(
@@ -249,6 +257,32 @@ covering 2
 0:1.0
 end
 """
+
+
+# the start point 1 / (d1^2 rho kappa1) overflows its denominator to 0
+OMPC_START_UNDERFLOW = """mixpc-instance v1
+kind ompc
+m 2
+n 2
+packing 2
+0 0 1e154
+1 1 1.0
+covering 1
+0:6e153 1:1.0
+end
+"""
+
+
+@pytest.mark.parametrize("text", [OMPC_START_UNDERFLOW, OMPC_EXTREME_RANGE])
+def test_cli_start_point_out_of_range_is_an_input_error(text, tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    assert main(["solve-ompc", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: coefficient range too wide: packing max/min ")
+    assert "start point at 0 " in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys):
