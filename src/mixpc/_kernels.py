@@ -87,11 +87,18 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
 # where min_gap is the least per-phase primal-dual gap, the dual increase
 # e * eps minus the increase of the potential, over the phases run (inf
 # when none ran).
+#
+# The potential terms are evaluated once per phase.  The terms computed
+# after phase k's update are the terms before phase k+1, since they depend
+# only on load, rowmax and x_j (and the fixed s2_rest, asum_rest), and
+# nothing writes those between the end of one phase and the start of the
+# next.  So one call costs phases + 1 evaluations, none when the client is
+# already covered.
 # ---------------------------------------------------------------------------
 
 
-def _ccfl_cost_terms(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma):
-    t1 = load / (zz * gamma)
+def _ccfl_cost_terms(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma, zg):
+    t1 = load / zg
     hi1 = t1.max()
     w1 = np.exp(t1 - hi1)
     s1 = w1.sum()
@@ -117,44 +124,49 @@ def ccfl_client_phases(
     min_gap = math.inf
     cover = float(x_j.sum())
     status = SATISFIED
-    while cover < 1.0:
-        cost0, w1, s1, e2, s2, t1 = _ccfl_cost_terms(
-            load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma
+    if cover < 1.0:
+        zg = zz * gamma
+        p_z = p / zz
+        c_g = c[fac] / gamma
+        a_g = a / gamma
+        mu1 = mu - 1.0
+        terms = _ccfl_cost_terms(
+            load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma, zg
         )
-        np.maximum(chi_j, e2 / s2, out=chi_j)
-        np.maximum(eta, w1 / s1, out=eta)
+    while cover < 1.0:
+        cost0, w1, s1, e2, s2, t1 = terms
+        e2q = e2 / s2
+        w1q = w1 / s1
+        np.maximum(chi_j, e2q, out=chi_j)
+        np.maximum(eta, w1q, out=eta)
         tl = float((t1 + rowmax / gamma).max())
         if tl > max_tl:
             max_tl = tl
-        e1f = w1[fac] / s1
-        rate = (
-            zz * ((p / zz) * e1f + e2 / s2) / gamma
-            + (c[fac] / gamma) * (p / zz + at_max)
-            + a / gamma
-        )
-        rmin = rate.min()
-        eps = (mu - 1.0) * rmin
-        cand = x_j * (1.0 + (mu - 1.0) * (rmin / rate))
+        rate = zz * (p_z * w1q[fac] + e2q) / gamma + c_g * (p_z + at_max) + a_g
+        rmin = float(rate.min())
+        eps = mu1 * rmin
+        cand = x_j * (1.0 + mu1 * (rmin / rate))
         capv = rowmax[fac]
-        was_at_max = at_max.copy()
-        new = np.where(was_at_max, cand, np.minimum(capv, cand))
-        joined = (~was_at_max) & (cand >= capv)
-        at_max |= joined
-        grew |= was_at_max
-        rowmax[fac[was_at_max]] = cand[was_at_max]
+        # a variable at its row maximum carries it up; any other stops at
+        # the maximum and joins it there
+        new = np.where(at_max, cand, np.minimum(capv, cand))
+        rowmax[fac] = np.where(at_max, cand, capv)
+        grew |= at_max
+        at_max |= cand >= capv
         dx = new - x_j
         x_j[:] = new
         load[fac] += p * dx
         cover += float(dx.sum())
-        alpha_inc += _E * eps
-        cost1 = _ccfl_cost_terms(
-            load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma
-        )[0]
-        gap = _E * eps - (cost1 - cost0)
+        dual = _E * eps
+        alpha_inc += dual
+        terms = _ccfl_cost_terms(
+            load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma, zg
+        )
+        gap = dual - (terms[0] - cost0)
         if gap < min_gap:
             min_gap = gap
         phases += 1
-        if cost1 > fail_level:
+        if terms[0] > fail_level:
             status = FAILED
             break
     # closing snapshot keeps the scaled-violation maximum current

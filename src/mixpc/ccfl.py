@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,18 +158,25 @@ class CcflInstance:
     def min_entry_cost(self, j: int) -> float:
         return float(self.entry_cost(j).min())
 
-    def dense_demand(self) -> np.ndarray:
-        """(m, n) normalized demand matrix, zero where infeasible."""
-        out = np.zeros((self.m, self.n))
+    @cached_property
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (m, n) demand and assignment cost, built on first use."""
+        demand = np.zeros((self.m, self.n))
+        assign = np.zeros((self.m, self.n))
         for j, cl in enumerate(self.clients):
-            out[cl.facilities, j] = cl.demand
-        return out
+            demand[cl.facilities, j] = cl.demand
+            assign[cl.facilities, j] = cl.assign_cost
+        demand.setflags(write=False)
+        assign.setflags(write=False)
+        return demand, assign
+
+    def dense_demand(self) -> np.ndarray:
+        """(m, n) normalized demand matrix, zero where infeasible; read-only."""
+        return self._dense[0]
 
     def dense_assign_cost(self) -> np.ndarray:
-        out = np.zeros((self.m, self.n))
-        for j, cl in enumerate(self.clients):
-            out[cl.facilities, j] = cl.assign_cost
-        return out
+        """(m, n) assignment cost matrix, zero where infeasible; read-only."""
+        return self._dense[1]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +423,6 @@ class CcflFractionalSolver:
     def __init__(self, instance: CcflInstance, z_value: float):
         self.instance = instance
         self.z_value = float(z_value)
-        self._p_dense = instance.dense_demand()
         self._x_closed = np.zeros((instance.m, instance.n))
         self._cost_closed = 0.0  # sum of gamma * potential over retired trials
         self._records: list[CcflTrialState] = []
@@ -461,7 +468,8 @@ class CcflFractionalSolver:
     def y_aggregate(self) -> np.ndarray:
         """Facility openness of the aggregate: congestion/Z + row max."""
         x = self.x_aggregate
-        return (self._p_dense * x).sum(axis=1) / self.z_value + x.max(axis=1)
+        p = self.instance.dense_demand()
+        return (p * x).sum(axis=1) / self.z_value + x.max(axis=1)
 
     @property
     def cumulative_cost(self) -> float:

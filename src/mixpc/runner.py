@@ -30,7 +30,7 @@ from .ccfl import (
 from .core import violation
 from .instances import OmpcInstance, gen_random_ccfl, gen_random_ompc
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
-from .rounding import mc_rounding
+from .rounding import McRoundingStats, mc_rounding
 from .solver import OnlineOmpcSolver, dual_certificate, mu_for
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "ompc_phase_budget",
     "check_ompc_run",
     "check_ccfl_run",
+    "check_mc_stats",
     "suite_ompc_adversary",
     "suite_ompc_random",
     "suite_ccfl_random",
@@ -426,7 +427,8 @@ def suite_ccfl_random(
         opt1 = ccfl_opt1(inst, zstar)
         label = f"ccfl-random-{idx}"
         if opt1.status != "optimal":
-            report.violations.append(f"{label}: oracle returned {opt1.status}")
+            if with_checks:
+                report.violations.append(f"{label}: oracle returned {opt1.status}")
             continue
         sol = gamma_trials(inst, zstar)
         sigma = inst.sigma
@@ -478,13 +480,42 @@ def _mc_instance(m: int, n: int, seed: int) -> CcflInstance:
     return CcflInstance(charges, np.ones(m), tuple(client for _ in range(n)))
 
 
+def _mc_opened_cap(stats: McRoundingStats) -> float:
+    """Mean opened fixed charge allowed: the bound plus 3 standard errors."""
+    return stats.opened_bound * (1.0 + 3.0 / math.sqrt(stats.reps))
+
+
+def check_mc_stats(
+    stats: McRoundingStats, congestion_slack: float = 0.05
+) -> list[str]:
+    """The three Monte-Carlo rounding caps: step-4 frequency per client,
+    mean opened fixed charge, mean worst candidate congestion."""
+    out: list[str] = []
+    p0 = 1.0 / stats.step4_freq.size**2
+    step4_cap = p0 + 3.0 * math.sqrt(p0 * (1 - p0) / stats.reps)
+    worst_client = float(stats.step4_freq.max())
+    if worst_client > step4_cap:
+        out.append(f"mc: step-4 frequency {worst_client} above {step4_cap}")
+    opened_cap = _mc_opened_cap(stats)
+    if stats.mean_opened_cost > opened_cap:
+        out.append(f"mc: mean opened cost {stats.mean_opened_cost} above {opened_cap}")
+    cong_cap = stats.congestion_bound * (1.0 + congestion_slack)
+    if stats.mean_max_candidate_congestion > cong_cap:
+        out.append(
+            f"mc: mean max candidate congestion "
+            f"{stats.mean_max_candidate_congestion} above {cong_cap}"
+        )
+    return out
+
+
 def suite_ccfl_mc(
     reps: int = 100_000,
     seed: int = 0,
     m: int = 5,
     n: int = 20,
     congestion_slack: float = 0.05,
-) -> tuple[ExperimentReport, "object"]:
+    with_checks: bool = True,
+) -> tuple[ExperimentReport, McRoundingStats]:
     """Monte-Carlo rounding statistics on one frozen fractional solution."""
     inst = _mc_instance(m, n, seed)
     # generous guess keeps the congestion term from steering the rates, so
@@ -500,24 +531,8 @@ def suite_ccfl_mc(
     t0 = time.perf_counter()
     stats = mc_rounding(inst, x_per_client, y_per_client, z_value, reps, seed)
     report = ExperimentReport()
-    p0 = 1.0 / n**2
-    step4_cap = p0 + 3.0 * math.sqrt(p0 * (1 - p0) / reps)
-    worst_client = float(stats.step4_freq.max())
-    if worst_client > step4_cap:
-        report.violations.append(
-            f"mc: step-4 frequency {worst_client} above {step4_cap}"
-        )
-    opened_cap = stats.opened_bound * (1.0 + 3.0 / math.sqrt(reps))
-    if stats.mean_opened_cost > opened_cap:
-        report.violations.append(
-            f"mc: mean opened cost {stats.mean_opened_cost} above {opened_cap}"
-        )
-    cong_cap = stats.congestion_bound * (1.0 + congestion_slack)
-    if stats.mean_max_candidate_congestion > cong_cap:
-        report.violations.append(
-            f"mc: mean max candidate congestion "
-            f"{stats.mean_max_candidate_congestion} above {cong_cap}"
-        )
+    if with_checks:
+        report.violations.extend(check_mc_stats(stats, congestion_slack))
     report.records.append(
         ExperimentRecord(
             instance=f"ccfl-mc-m{m}-n{n}",
@@ -528,8 +543,8 @@ def suite_ccfl_mc(
             rho=inst.rho,
             sigma=inst.sigma,
             online=stats.mean_opened_cost,
-            bound=opened_cap,
-            witness=worst_client,
+            bound=_mc_opened_cap(stats),
+            witness=float(stats.step4_freq.max()),
             wall_time_s=time.perf_counter() - t0,
         )
     )
@@ -568,11 +583,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             with_checks=config.bound_check,
         )
     elif config.suite == "ccfl-mc":
-        report, _ = suite_ccfl_mc(reps=config.reps or 100_000, seed=config.seed)
+        report, _ = suite_ccfl_mc(
+            reps=config.reps or 100_000,
+            seed=config.seed,
+            with_checks=config.bound_check,
+        )
     else:
         raise ValueError(f"unknown suite {config.suite!r}")
-    if not config.bound_check:
-        report.violations.clear()
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(report_to_csv(report))

@@ -79,6 +79,31 @@ def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack
     return SATISFIED, phases, dual_inc, max_tl, min_gap
 
 
+def _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma):
+    m = load.shape[0]
+    hi1 = load[0]
+    for k in range(1, m):
+        if load[k] > hi1:
+            hi1 = load[k]
+    hi1 /= zz * gamma
+    s1 = 0.0
+    for k in range(m):
+        s1 += math.exp(load[k] / (zz * gamma) - hi1)
+    s2 = s2_rest
+    for t in range(x_j.shape[0]):
+        s2 += math.exp(x_j[t] / gamma)
+    est = hi1 + math.log(s1) + math.log(s2)
+    cl = 0.0
+    cr = 0.0
+    for k in range(m):
+        cl += c[k] * load[k]
+        cr += c[k] * rowmax[k]
+    ax = 0.0
+    for t in range(x_j.shape[0]):
+        ax += a[t] * x_j[t]
+    return zz * est + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
+
+
 def _ccfl_client_phases_loop(
     fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
     s2_rest, asum_rest, zz, gamma, mu, fail_level,
@@ -168,27 +193,7 @@ def _ccfl_client_phases_loop(
             cover += dx
         alpha_inc += _E * eps
         # post-update cost for the failure check
-        hi1 = load[0]
-        for k in range(1, m):
-            if load[k] > hi1:
-                hi1 = load[k]
-        hi1 /= zz * gamma
-        s1 = 0.0
-        for k in range(m):
-            s1 += math.exp(load[k] / (zz * gamma) - hi1)
-        s2 = s2_rest
-        for t in range(f):
-            s2 += math.exp(x_j[t] / gamma)
-        est1 = hi1 + math.log(s1) + math.log(s2)
-        cl = 0.0
-        cr = 0.0
-        for k in range(m):
-            cl += c[k] * load[k]
-            cr += c[k] * rowmax[k]
-        ax = 0.0
-        for t in range(f):
-            ax += a[t] * x_j[t]
-        cost1 = zz * est1 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
+        cost1 = _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
         min_gap = min(min_gap, _E * eps - (cost1 - cost0))
         phases += 1
         if cost1 > fail_level:
@@ -265,20 +270,24 @@ def test_ompc_kernel_matches_loop():
         assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
 
 
-def _ccfl_inputs(seed):
+def _ccfl_inputs(seed, gamma=1.0, asum_rest=0.0, held=False, x0=0.02, fail=None):
     g = rng_for(seed, "kernel-ccfl")
     m, f = 5, 4
     fac = np.sort(g.choice(m, size=f, replace=False)).astype(np.int64)
     p = 0.2 + g.random(f)
     a = g.random(f) * 0.5
     c = 1.0 + g.random(m)
-    x_j = np.full(f, 0.02)
+    x_j = np.full(f, x0)
     at_max = np.zeros(f, dtype=np.bool_)
     at_max[0] = True
     grew = np.zeros(f, dtype=np.bool_)
     rowmax = np.zeros(m)
     rowmax[fac] = x_j
     rowmax[fac[0]] = x_j[0]
+    if held:
+        # another client holds facility fac[1]'s maximum above x_j, so the
+        # cap binds only after a few phases and then at_max[1] flips
+        rowmax[fac[1]] = 3.0 * x0
     load = np.zeros(m)
     load[fac] = p * x_j
     chi_j = np.zeros(f)
@@ -287,26 +296,90 @@ def _ccfl_inputs(seed):
     s2_rest = float(m * n - f)
     zz = 8.0
     mu = 1.0 + 1.0 / (6.0 * math.log(math.e * m * n))
-    fail = 5.0 * zz * math.log(math.e * m * n)
+    if fail is None:
+        fail = 5.0 * zz * math.log(math.e * m * n)
     return (fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
-            s2_rest, 0.0, zz, 1.0, mu, fail)
+            s2_rest, asum_rest, zz, gamma, mu, fail)
+
+
+def _potential(args):
+    a, c, x_j = args[2:5]
+    rowmax, load = args[7:9]
+    s2_rest, asum_rest, zz, gamma = args[11:15]
+    return _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
+
+
+def _mid_fail_level(seed, **case):
+    """A fail level halfway up the potential's climb over a full run: the
+    potential grows with every phase, so a run against it fails part-way."""
+    start = _ccfl_inputs(seed, **case)
+    done = _ccfl_inputs(seed, **case)
+    _kernels.ccfl_client_phases(*done)
+    return 0.5 * (_potential(start) + _potential(done))
 
 
 def test_ccfl_kernel_matches_loop():
     for seed in range(5):
-        a_np = _ccfl_inputs(seed)
-        a_lp = _ccfl_inputs(seed)
-        out_np = _kernels.ccfl_client_phases(*a_np)
-        out_lp = _ccfl_client_phases_loop(*a_lp)
-        assert out_np[0] == out_lp[0]
-        assert out_np[1] == out_lp[1]
-        assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
-        assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
-        np.testing.assert_allclose(a_np[4], a_lp[4], rtol=1e-12)  # x_j
-        np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # rowmax
-        np.testing.assert_allclose(a_np[10], a_lp[10], rtol=1e-12)  # eta
-        assert np.array_equal(a_np[5], a_lp[5])  # at_max flags
-        assert np.array_equal(a_np[6], a_lp[6])  # grew flags
+        cases = (
+            {},
+            {"gamma": 2.0},
+            {"asum_rest": 0.7},
+            {"held": True},
+            {"gamma": 2.0, "asum_rest": 0.7, "held": True},
+            {"fail": _mid_fail_level(seed)},
+            {"asum_rest": 0.7, "fail": _mid_fail_level(seed, asum_rest=0.7)},
+            {"x0": 0.25},  # four candidates: x_j already sums to 1
+        )
+        for case in cases:
+            a_np = _ccfl_inputs(seed, **case)
+            a_lp = _ccfl_inputs(seed, **case)
+            before = [np.copy(v) for v in a_np[4:11]]
+            out_np = _kernels.ccfl_client_phases(*a_np)
+            out_lp = _ccfl_client_phases_loop(*a_lp)
+            assert out_np[0] == out_lp[0]
+            assert out_np[1] == out_lp[1]
+            assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
+            assert out_np[3] == pytest.approx(out_lp[3], rel=1e-12)  # max_tl
+            assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
+            np.testing.assert_allclose(a_np[4], a_lp[4], rtol=1e-12)  # x_j
+            np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # rowmax
+            np.testing.assert_allclose(a_np[8], a_lp[8], rtol=1e-12)  # load
+            np.testing.assert_allclose(a_np[9], a_lp[9], rtol=1e-12)  # chi_j
+            np.testing.assert_allclose(a_np[10], a_lp[10], rtol=1e-12)  # eta
+            assert np.array_equal(a_np[5], a_lp[5])  # at_max flags
+            assert np.array_equal(a_np[6], a_lp[6])  # grew flags
+            if "fail" in case:
+                assert out_np[0] == FAILED and out_np[1] >= 1
+                assert a_np[4].sum() < 1.0  # stopped before the client was covered
+            elif "x0" in case:
+                assert out_np[:3] == (SATISFIED, 0, 0.0)
+                assert out_np[4] == math.inf
+                for got, want in zip(a_np[4:11], before):
+                    assert np.array_equal(got, want)
+            else:
+                assert out_np[0] == SATISFIED and out_np[1] > 1
+                if case.get("held"):
+                    assert not before[1][1] and a_np[5][1]  # the cap bound
+
+
+def test_ccfl_kernel_evaluates_the_potential_once_per_phase(monkeypatch):
+    calls = []
+    terms = _kernels._ccfl_cost_terms
+
+    def counted(*args):
+        calls.append(1)
+        return terms(*args)
+
+    monkeypatch.setattr(_kernels, "_ccfl_cost_terms", counted)
+    for args in (
+        _ccfl_inputs(0),
+        _ccfl_inputs(1, gamma=2.0, asum_rest=0.7, held=True),
+        _ccfl_inputs(2, fail=-math.inf),  # fails after its first phase
+        _ccfl_inputs(0, x0=0.25),  # covered: no phase
+    ):
+        calls.clear()
+        phases = _kernels.ccfl_client_phases(*args)[1]
+        assert len(calls) == (phases + 1 if phases > 0 else 0)
 
 
 def test_mc_kernel_matches_loop():

@@ -178,16 +178,19 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("bound check ran with bound_check=False")
 
-    suites = {"ompc-random": 1, "ccfl-random": 1, "ompc-adversary": 6}
+    suites = {"ompc-random": 1, "ccfl-random": 1, "ompc-adversary": 6, "ccfl-mc": 1}
     checked = {
-        suite: run_experiment(ExperimentConfig(suite=suite, count=1, seed=1))
+        suite: run_experiment(ExperimentConfig(suite=suite, count=1, reps=200, seed=1))
         for suite in suites
     }
     monkeypatch.setattr("mixpc.runner.check_ompc_run", refuse)
     monkeypatch.setattr("mixpc.runner.check_ccfl_run", refuse)
+    monkeypatch.setattr("mixpc.runner.check_mc_stats", refuse)
     for suite, records in suites.items():
         rep = run_experiment(
-            ExperimentConfig(suite=suite, count=1, seed=1, bound_check=False)
+            ExperimentConfig(
+                suite=suite, count=1, reps=200, seed=1, bound_check=False
+            )
         )
         assert len(rep.records) == records
         assert rep.passed
