@@ -77,12 +77,13 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
 # ---------------------------------------------------------------------------
 # Fixed-charge assignment: all phases for one arriving client.
 #
-# fac/p/a describe the client's candidate facilities; x_j, at_max, grew,
-# rowmax, load, chi_j, eta are mutated in place.  at_max flags whether the
-# client's variable currently sits at its facility's row maximum (the tie
-# is tracked by construction, never by float comparison); grew flags that
-# the variable multiplied while at the maximum, i.e. it now holds the
-# maximum alone.  Returns
+# fac/p/a describe the client's candidate facilities; x_j, at_max, rowmax,
+# load, chi_j, eta are mutated in place.  at_max flags whether the client's
+# variable sits at its facility's row maximum.  The caller passes
+# x_j == rowmax[fac]: a row maximum is only ever assigned from the variable
+# that holds it (here, rowmax[fac] = where(at_max, cand, capv) with x_j set
+# to the same cand or capv), so for the active client the exact comparison
+# is the tie itself, at entry and after every phase.  Returns
 #   (status, phases, alpha_inc, max_tl, min_gap)
 # where min_gap is the least per-phase primal-dual gap, the dual increase
 # e * eps minus the increase of the potential, over the phases run (inf
@@ -115,7 +116,7 @@ def _ccfl_cost_terms(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma, zg):
 
 
 def ccfl_client_phases(
-    fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
+    fac, p, a, c, x_j, at_max, rowmax, load, chi_j, eta,
     s2_rest, asum_rest, zz, gamma, mu, fail_level,
 ):
     phases = 0
@@ -151,7 +152,6 @@ def ccfl_client_phases(
         # the maximum and joins it there
         new = np.where(at_max, cand, np.minimum(capv, cand))
         rowmax[fac] = np.where(at_max, cand, capv)
-        grew |= at_max
         at_max |= cand >= capv
         dx = new - x_j
         x_j[:] = new

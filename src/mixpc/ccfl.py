@@ -191,13 +191,12 @@ class CcflTrialState:
     gamma: float
     mu: float
     x: np.ndarray  # (m, n)
-    rowmax: np.ndarray  # (m,) per-facility max assignment
+    rowmax: np.ndarray  # (m,) per-facility max; j holds it iff x[i, j] == rowmax[i]
     load: np.ndarray  # (m,) congestion numerator sum_j p_ij x_ij
-    argmax_track: list[set[int]]  # per facility, clients tied at the row max
     chi: np.ndarray  # (m, n) running softmax maxima, assignment term
     eta: np.ndarray  # (m,) running softmax maxima, congestion term
     alpha: np.ndarray  # (n,) dual per client
-    z_prev: dict[int, float] = field(default_factory=dict)
+    z_prev: np.ndarray  # (m,) rowmax at client end, entry value first; 0 untouched
     z_ratio_log: dict[tuple[int, int], float] = field(default_factory=dict)
     max_scaled_violation: float = 0.0
     failed: bool = False
@@ -220,10 +219,10 @@ def new_trial(instance: CcflInstance, z_value: float, gamma: float) -> CcflTrial
         x=np.zeros((m, n)),
         rowmax=np.zeros(m),
         load=np.zeros(m),
-        argmax_track=[set() for _ in range(m)],
         chi=np.zeros((m, n)),
         eta=np.zeros(m),
         alpha=np.zeros(n),
+        z_prev=np.zeros(m),
     )
 
 
@@ -250,48 +249,30 @@ def scaled_violation(state: CcflTrialState) -> float:
     return float((state.load / (zz * g) + state.rowmax / g).max())
 
 
-def init_client(state: CcflTrialState, j: int) -> float:
+def init_client(state: CcflTrialState, j: int) -> None:
     """Set the arriving client's variables to their entry values.
 
-    Every candidate facility starts at ``min-entry-cost / (2 m n entry_cost)``;
-    the potential increase of this step is returned.
+    Every candidate facility starts at ``min-entry-cost / (2 m n entry_cost)``
+    and the row maxima are raised to meet it.
     """
     if j in state.initialized:
         raise ValueError(f"client {j} already initialized in this trial")
     inst = state.instance
-    fj = inst.candidates(j, state.z_value)
-    if fj.size == 0:
-        raise CcflInfeasible(j, state.z_value)
     cl = inst.clients[j]
     ec = inst.entry_cost(j)
-    keep = np.isin(cl.facilities, fj)
+    keep = ec <= state.z_value
+    fj = cl.facilities[keep]
+    if fj.size == 0:
+        raise CcflInfeasible(j, state.z_value)
     ec_f = ec[keep]
     x0 = (ec_f.min() / ec_f) / (2.0 * inst.m * inst.n)
-    cost_before = ccfl_cost(state)
-    p_f = cl.demand[keep]
-    for t, i in enumerate(fj):
-        i = int(i)
-        v = float(x0[t])
-        state.x[i, j] = v
-        if v > state.rowmax[i]:
-            state.rowmax[i] = v
-            state.argmax_track[i] = {j}
-        elif v == state.rowmax[i]:
-            state.argmax_track[i].add(j)
-        if i not in state.z_prev:
-            state.z_prev[i] = v
-    state.load[fj] += p_f * x0
+    state.x[fj, j] = x0
+    state.rowmax[fj] = np.maximum(state.rowmax[fj], x0)
+    zp = state.z_prev[fj]
+    state.z_prev[fj] = np.where(zp > 0, zp, x0)
+    state.load[fj] += cl.demand[keep] * x0
     state.initialized[j] = fj
     state.max_scaled_violation = max(state.max_scaled_violation, scaled_violation(state))
-    return ccfl_cost(state) - cost_before
-
-
-def _client_arrays(state: CcflTrialState, j: int):
-    inst = state.instance
-    fj = state.initialized[j]
-    cl = inst.clients[j]
-    keep = np.isin(cl.facilities, fj)
-    return fj.astype(np.int64), cl.demand[keep].copy(), cl.assign_cost[keep].copy()
 
 
 def assign_fractional(state: CcflTrialState, j: int) -> bool:
@@ -301,11 +282,13 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
     if j not in state.initialized:
         raise ValueError(f"client {j} not initialized")
     inst = state.instance
-    fac, p, a = _client_arrays(state, j)
-    x_j = state.x[fac, j].copy()
-    at_max = np.array([j in state.argmax_track[int(i)] for i in fac], dtype=np.bool_)
-    grew = np.zeros(fac.size, dtype=np.bool_)
-    chi_j = state.chi[fac, j].copy()
+    cl = inst.clients[j]
+    keep = inst.entry_cost(j) <= state.z_value
+    fac = state.initialized[j]
+    p, a = cl.demand[keep], cl.assign_cost[keep]
+    x_j = state.x[fac, j]
+    at_max = x_j == state.rowmax[fac]
+    chi_j = state.chi[fac, j]
 
     g = state.gamma
     exp_all = np.exp(state.x / g)
@@ -320,7 +303,6 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
         inst.fixed_charge,
         x_j,
         at_max,
-        grew,
         state.rowmax,
         state.load,
         chi_j,
@@ -339,19 +321,12 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
 
     state.x[fac, j] = x_j
     state.chi[fac, j] = chi_j
-    for t in range(fac.size):
-        i = int(fac[t])
-        if at_max[t]:
-            if grew[t]:
-                state.argmax_track[i] = {j}
-            else:
-                state.argmax_track[i].add(j)
     # per-facility running assignment maxima, checkpointed at client end
-    for t in range(fac.size):
-        i = int(fac[t])
-        zcur = max(state.z_prev[i], float(x_j[t]))
-        state.z_ratio_log[(i, j)] = math.log(zcur / state.z_prev[i])
-        state.z_prev[i] = zcur
+    zprev = state.z_prev[fac]
+    zcur = np.maximum(zprev, x_j)
+    for t, i in enumerate(fac.tolist()):
+        state.z_ratio_log[(i, j)] = math.log(zcur[t] / zprev[t])
+    state.z_prev[fac] = zcur
     if status == _kernels.FAILED:
         state.failed = True
         return False

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["rng_for", "philox_key"]
+__all__ = ["rng_for", "philox_key", "restart"]
 
 _DOMAIN = b"mixpc-philox-v1:"
 
@@ -29,3 +29,16 @@ def philox_key(seed: int, *stream: str | int) -> np.ndarray:
 def rng_for(seed: int, *stream: str | int) -> np.random.Generator:
     """Generator for the named stream; identical labels give identical bits."""
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *stream)))
+
+
+def restart(gen: np.random.Generator, seed: int, *stream: str | int) -> None:
+    """Move a Philox ``gen`` to the start of the named stream, in place, so
+    that it draws what ``rng_for(seed, *stream)`` draws."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": philox_key(seed, *stream)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,  # empty: the next draw starts a fresh block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

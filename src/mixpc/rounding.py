@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .ccfl import CcflFractionalSolver, CcflInstance
-from .rng import rng_for
+from .rng import restart, rng_for
 
 __all__ = [
     "rounds_for",
@@ -269,11 +269,6 @@ class McRoundingStats:
     congestion_bound: float  # 4 Z ln(2 e m lambda)
 
 
-def _mc_draws(seed: int, rep: int, m: int, n: int, r: int):
-    g = rng_for(seed, "mc-round", rep)
-    return g.random((m, r)), g.random((n, m))
-
-
 def mc_rounding(
     instance: CcflInstance,
     x_per_client: np.ndarray,  # (n, m): aggregate x at each client's arrival
@@ -302,13 +297,16 @@ def mc_rounding(
     step4_all = np.empty((reps, n), dtype=np.bool_)
     opened_all = np.empty(reps)
     cong_all = np.empty(reps)
+    gen = np.random.Generator(np.random.Philox(0))
     done = 0
     while done < reps:
         take = min(chunk, reps - done)
         tdraw = np.empty((take, m, r))
         udraw = np.empty((take, n, m))
         for k in range(take):
-            tdraw[k], udraw[k] = _mc_draws(seed, done + k, m, n, r)
+            restart(gen, seed, "mc-round", done + k)
+            tdraw[k] = gen.random((m, r))
+            udraw[k] = gen.random((n, m))
         step4, opened_cost, max_cong = _kernels.mc_round_chunk(
             xcl, y_per_client, y_final, p, cfix, in_s, tdraw, udraw
         )

@@ -567,29 +567,30 @@ class ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a suite by name and optionally write its CSV report."""
-    if config.suite == "ompc-adversary":
-        report = suite_ompc_adversary(seed=config.seed, with_checks=config.bound_check)
-    elif config.suite == "ompc-random":
-        report = suite_ompc_random(
-            count=config.count or 50,
-            seed=config.seed,
-            with_checks=config.bound_check,
-        )
-    elif config.suite == "ccfl-random":
-        report = suite_ccfl_random(
-            count=config.count or 25,
-            seed=config.seed,
-            with_checks=config.bound_check,
-        )
-    elif config.suite == "ccfl-mc":
-        report, _ = suite_ccfl_mc(
-            reps=config.reps or 100_000,
-            seed=config.seed,
-            with_checks=config.bound_check,
-        )
-    else:
+    """Dispatch a suite by name and optionally write its CSV report.
+
+    ``count`` and ``reps`` left at ``None`` take the suite's own default; a
+    value below 1, or one the suite does not read, raises ``ValueError``.
+    """
+    suites = {  # each suite with the size flags it reads
+        "ompc-adversary": (suite_ompc_adversary, ()),
+        "ompc-random": (suite_ompc_random, ("count",)),
+        "ccfl-random": (suite_ccfl_random, ("count",)),
+        "ccfl-mc": (suite_ccfl_mc, ("reps",)),
+    }
+    if config.suite not in suites:
         raise ValueError(f"unknown suite {config.suite!r}")
+    run, reads = suites[config.suite]
+    given = {"count": config.count, "reps": config.reps}
+    sizes = {flag: value for flag, value in given.items() if value is not None}
+    for flag, value in sizes.items():
+        if flag not in reads:
+            raise ValueError(f"suite {config.suite} does not read --{flag}")
+        if value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
+    report = run(seed=config.seed, with_checks=config.bound_check, **sizes)
+    if config.suite == "ccfl-mc":
+        report, _ = report
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(report_to_csv(report))

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from mixpc.ccfl import CcflTrialState, _client_arrays
+import math
+
+from mixpc.ccfl import CcflTrialState
 from mixpc.core import CoveringRow, PackingSystem, _as_matrix, _check_dims
 
 
@@ -48,7 +50,10 @@ def step_size(row: CoveringRow, rate_vec: np.ndarray, mu: float) -> float:
 
 def ccfl_rates(state: CcflTrialState, j: int) -> np.ndarray:
     """Rate of change of the potential per candidate facility of client j."""
-    fac, p, a = _client_arrays(state, j)
+    inst = state.instance
+    cl = inst.clients[j]
+    keep = inst.entry_cost(j) <= state.z_value
+    fac, p, a = cl.facilities[keep], cl.demand[keep], cl.assign_cost[keep]
     zz, g = state.z_value, state.gamma
     t1 = state.load / (zz * g)
     hi1 = t1.max()
@@ -58,12 +63,52 @@ def ccfl_rates(state: CcflTrialState, j: int) -> np.ndarray:
     hi2 = flat.max()
     s2 = float(np.exp(flat - hi2).sum())
     e2 = np.exp(state.x[fac, j] / g - hi2)
-    ind = np.array(
-        [1.0 if j in state.argmax_track[int(i)] else 0.0 for i in fac]
-    )
-    c = state.instance.fixed_charge
+    ind = (state.x[fac, j] == state.rowmax[fac]).astype(np.float64)
+    c = inst.fixed_charge
     return (
         zz * ((p / zz) * (w1[fac] / s1) + e2 / s2) / g
         + (c[fac] / g) * (p / zz + ind)
         + a / g
     )
+
+
+class TieTracker:
+    """Set-based record of which clients hold each facility's row maximum.
+
+    Per facility, the set of clients tied at the maximum, updated at
+    ``init_client`` and after the phase kernel; and the running maximum at
+    client end as a dict, first set to the entry value.  A trial reads the
+    first as ``x_j == rowmax[fac]`` and keeps the second as its ``z_prev``
+    array.
+    """
+
+    def __init__(self, m: int):
+        self.ties: list[set[int]] = [set() for _ in range(m)]
+        self.z_prev: dict[int, float] = {}
+        self.z_ratio_log: dict[tuple[int, int], float] = {}
+
+    def init_client(self, j: int, fac, x0, rowmax_before) -> None:
+        for i, v, top in zip(fac.tolist(), x0.tolist(), rowmax_before.tolist()):
+            if v > top:
+                self.ties[i] = {j}
+            elif v == top:
+                self.ties[i].add(j)
+            if i not in self.z_prev:
+                self.z_prev[i] = v
+
+    def at_max(self, j: int, fac) -> np.ndarray:
+        return np.array([j in self.ties[i] for i in fac.tolist()], dtype=np.bool_)
+
+    def client_end(self, j: int, fac, x_j, at_max, grew) -> None:
+        """``at_max`` as the kernel left it; ``grew`` marks a variable that
+        multiplied while at the maximum, so it now holds the maximum alone."""
+        for t, i in enumerate(fac.tolist()):
+            if at_max[t]:
+                if grew[t]:
+                    self.ties[i] = {j}
+                else:
+                    self.ties[i].add(j)
+        for t, i in enumerate(fac.tolist()):
+            zcur = max(self.z_prev[i], float(x_j[t]))
+            self.z_ratio_log[(i, j)] = math.log(zcur / self.z_prev[i])
+            self.z_prev[i] = zcur

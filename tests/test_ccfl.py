@@ -15,9 +15,10 @@ from mixpc import (
     gen_random_ccfl,
     init_client,
 )
+from mixpc import _kernels, ccfl
 from mixpc.ccfl import CcflClient, CcflFractionalSolver, new_trial
 from mixpc.rng import rng_for
-from reference_maths import ccfl_rates
+from reference_maths import TieTracker, ccfl_rates
 
 E = math.e
 
@@ -92,8 +93,9 @@ def test_init_cost_at_most_z_over_n():
         z = 2.0 * brute_force_zstar(inst)
         st = new_trial(inst, z_value=z, gamma=1.0)
         for j in range(inst.n):
-            init_cost = init_client(st, j)
-            assert init_cost <= z / inst.n + 1e-9
+            before = ccfl_cost(st)
+            init_client(st, j)
+            assert ccfl_cost(st) - before <= z / inst.n + 1e-9
             assign_fractional(st, j)
 
 
@@ -155,10 +157,10 @@ def test_indicator_flips_on_joining_the_row_max():
     assign_fractional(st, 0)
     init_client(st, 1)
     # fresh client sits below the row max: indicator off for both facilities
-    assert all(1 not in st.argmax_track[i] for i in range(2))
+    assert all(st.x[i, 1] < st.rowmax[i] for i in range(2))
     assign_fractional(st, 1)
-    # after catching up it joins (or replaces) the argmax set
-    assert any(1 in st.argmax_track[i] for i in range(2))
+    # after catching up it joins (or replaces) the row max
+    assert any(st.x[i, 1] == st.rowmax[i] for i in range(2))
 
 
 def test_first_phase_always_runs():
@@ -322,3 +324,70 @@ def test_z_running_maxima_monotone():
             assert cur >= seen.get(i, 0.0) - 1e-15
             assert st.z_ratio_log[(i, j)] >= 0.0
             seen[i] = cur
+
+
+def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
+    # the trial reads "client j holds facility i's maximum" as
+    # x[i, j] == rowmax[i]; replay the set-based tracker beside it
+    trackers: dict[int, TieTracker] = {}
+    calls: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    flags_seen: set[bool] = set()
+    kernel, init, assign = (
+        _kernels.ccfl_client_phases,
+        ccfl.init_client,
+        ccfl.assign_fractional,
+    )
+
+    def tracker(st):
+        return trackers.setdefault(id(st), TieTracker(st.instance.m))
+
+    def traced_init(st, j):
+        before = st.rowmax.copy()
+        init(st, j)
+        fac = st.initialized[j]
+        tracker(st).init_client(j, fac, st.x[fac, j], before[fac])
+
+    def traced_kernel(fac, p, a, c, x_j, at_max, rowmax, *rest):
+        entry, top = at_max.copy(), rowmax[fac].copy()
+        out = kernel(fac, p, a, c, x_j, at_max, rowmax, *rest)
+        # a variable at the maximum that multiplied moved the maximum
+        calls.append((entry, at_max.copy(), at_max & (rowmax[fac] != top)))
+        return out
+
+    def traced_assign(st, j):
+        tr = tracker(st)
+        fac = st.initialized[j]
+        want = tr.at_max(j, fac)
+        calls.clear()
+        ok = assign(st, j)
+        ((entry, after, grew),) = calls
+        assert np.array_equal(entry, want)
+        flags_seen.update(entry.tolist())
+        tr.client_end(j, fac, st.x[fac, j], after, grew)
+        touched = np.zeros(st.instance.m, dtype=np.bool_)
+        for f in st.initialized.values():
+            touched[f] = True
+        assert np.array_equal(st.z_prev[touched], st.rowmax[touched])
+        assert not st.z_prev[~touched].any()
+        assert list(st.z_ratio_log.items()) == list(tr.z_ratio_log.items())
+        return ok
+
+    monkeypatch.setattr(_kernels, "ccfl_client_phases", traced_kernel)
+    monkeypatch.setattr(ccfl, "init_client", traced_init)
+    monkeypatch.setattr(ccfl, "assign_fractional", traced_assign)
+    runs = []
+    for seed, scale in ((2, 1.0), (3, 2.0), (8, 1.5)):
+        inst = gen_random_ccfl(4, 6, seed=seed)
+        runs.append((inst, scale * brute_force_zstar(inst)))
+    # heavy demands on two facilities at the least Z that gives every client
+    # a candidate: the congestion term passes the fail level and gamma doubles
+    heavy = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    runs.append((heavy, max(heavy.entry_cost(j).min() for j in range(heavy.n))))
+    for inst, z in runs:
+        trackers.clear()
+        sol = gamma_trials(inst, z)
+    assert [st.gamma for st in sol.trials] == [1.0, 2.0]
+    assert flags_seen == {True, False}

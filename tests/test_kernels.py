@@ -105,7 +105,7 @@ def _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
 
 
 def _ccfl_client_phases_loop(
-    fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
+    fac, p, a, c, x_j, at_max, rowmax, load, chi_j, eta,
     s2_rest, asum_rest, zz, gamma, mu, fail_level,
 ):
     m = load.shape[0]
@@ -179,7 +179,6 @@ def _ccfl_client_phases_loop(
             if at_max[t]:
                 new = cand
                 rowmax[i] = cand
-                grew[t] = True
             else:
                 capv = rowmax[i]
                 if cand >= capv:
@@ -280,7 +279,6 @@ def _ccfl_inputs(seed, gamma=1.0, asum_rest=0.0, held=False, x0=0.02, fail=None)
     x_j = np.full(f, x0)
     at_max = np.zeros(f, dtype=np.bool_)
     at_max[0] = True
-    grew = np.zeros(f, dtype=np.bool_)
     rowmax = np.zeros(m)
     rowmax[fac] = x_j
     rowmax[fac[0]] = x_j[0]
@@ -298,14 +296,14 @@ def _ccfl_inputs(seed, gamma=1.0, asum_rest=0.0, held=False, x0=0.02, fail=None)
     mu = 1.0 + 1.0 / (6.0 * math.log(math.e * m * n))
     if fail is None:
         fail = 5.0 * zz * math.log(math.e * m * n)
-    return (fac, p, a, c, x_j, at_max, grew, rowmax, load, chi_j, eta,
+    return (fac, p, a, c, x_j, at_max, rowmax, load, chi_j, eta,
             s2_rest, asum_rest, zz, gamma, mu, fail)
 
 
 def _potential(args):
     a, c, x_j = args[2:5]
-    rowmax, load = args[7:9]
-    s2_rest, asum_rest, zz, gamma = args[11:15]
+    rowmax, load = args[6:8]
+    s2_rest, asum_rest, zz, gamma = args[10:14]
     return _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
 
 
@@ -333,7 +331,7 @@ def test_ccfl_kernel_matches_loop():
         for case in cases:
             a_np = _ccfl_inputs(seed, **case)
             a_lp = _ccfl_inputs(seed, **case)
-            before = [np.copy(v) for v in a_np[4:11]]
+            before = [np.copy(v) for v in a_np[4:10]]
             out_np = _kernels.ccfl_client_phases(*a_np)
             out_lp = _ccfl_client_phases_loop(*a_lp)
             assert out_np[0] == out_lp[0]
@@ -342,19 +340,18 @@ def test_ccfl_kernel_matches_loop():
             assert out_np[3] == pytest.approx(out_lp[3], rel=1e-12)  # max_tl
             assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
             np.testing.assert_allclose(a_np[4], a_lp[4], rtol=1e-12)  # x_j
-            np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # rowmax
-            np.testing.assert_allclose(a_np[8], a_lp[8], rtol=1e-12)  # load
-            np.testing.assert_allclose(a_np[9], a_lp[9], rtol=1e-12)  # chi_j
-            np.testing.assert_allclose(a_np[10], a_lp[10], rtol=1e-12)  # eta
+            np.testing.assert_allclose(a_np[6], a_lp[6], rtol=1e-12)  # rowmax
+            np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # load
+            np.testing.assert_allclose(a_np[8], a_lp[8], rtol=1e-12)  # chi_j
+            np.testing.assert_allclose(a_np[9], a_lp[9], rtol=1e-12)  # eta
             assert np.array_equal(a_np[5], a_lp[5])  # at_max flags
-            assert np.array_equal(a_np[6], a_lp[6])  # grew flags
             if "fail" in case:
                 assert out_np[0] == FAILED and out_np[1] >= 1
                 assert a_np[4].sum() < 1.0  # stopped before the client was covered
             elif "x0" in case:
                 assert out_np[:3] == (SATISFIED, 0, 0.0)
                 assert out_np[4] == math.inf
-                for got, want in zip(a_np[4:11], before):
+                for got, want in zip(a_np[4:10], before):
                     assert np.array_equal(got, want)
             else:
                 assert out_np[0] == SATISFIED and out_np[1] > 1

@@ -13,8 +13,8 @@ from mixpc import (
     z_epochs,
 )
 from mixpc.ccfl import CcflClient, CcflFractionalSolver, CcflInstance
-from mixpc.rng import rng_for
-from mixpc.rounding import _mc_draws, epoch_budget
+from mixpc.rng import restart, rng_for
+from mixpc.rounding import epoch_budget
 
 
 def test_rounds_formula():
@@ -98,6 +98,19 @@ def _frozen_fractional(m=4, n=6, seed=5):
     return inst, z, xs, ys
 
 
+def test_restarted_stream_matches_a_fresh_generator():
+    # one generator moved from stream to stream draws what a new one does,
+    # also after a float32 draw left half a word and part of a block unused
+    gen = np.random.Generator(np.random.Philox(0))
+    for rep in range(2000):
+        restart(gen, 99, "mc-round", rep)
+        fresh = rng_for(99, "mc-round", rep)
+        assert np.array_equal(gen.random((3, 5)), fresh.random((3, 5)))
+        assert np.array_equal(
+            gen.random(3, dtype=np.float32), fresh.random(3, dtype=np.float32)
+        )
+
+
 def test_mc_batch_matches_sequential_rounding():
     # the chunked sweep and a client-by-client replay with the same bits
     # must agree exactly on step-4 events, opened cost, and congestion
@@ -111,7 +124,8 @@ def test_mc_batch_matches_sequential_rounding():
     cong_seq = np.zeros(50)
     p = inst.dense_demand()
     for rep in range(50):
-        tdraw, udraw = _mc_draws(seed, rep, m, n, r)
+        g = rng_for(seed, "mc-round", rep)
+        tdraw, udraw = g.random((m, r)), g.random((n, m))
         tbar = tdraw.min(axis=1)
         cong = np.zeros(m)
         for j in range(n):

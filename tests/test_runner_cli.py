@@ -179,8 +179,14 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
         raise AssertionError("bound check ran with bound_check=False")
 
     suites = {"ompc-random": 1, "ccfl-random": 1, "ompc-adversary": 6, "ccfl-mc": 1}
+    sizes = {
+        "ompc-random": {"count": 1},
+        "ccfl-random": {"count": 1},
+        "ompc-adversary": {},
+        "ccfl-mc": {"reps": 200},
+    }
     checked = {
-        suite: run_experiment(ExperimentConfig(suite=suite, count=1, reps=200, seed=1))
+        suite: run_experiment(ExperimentConfig(suite=suite, seed=1, **sizes[suite]))
         for suite in suites
     }
     monkeypatch.setattr("mixpc.runner.check_ompc_run", refuse)
@@ -189,7 +195,7 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
     for suite, records in suites.items():
         rep = run_experiment(
             ExperimentConfig(
-                suite=suite, count=1, reps=200, seed=1, bound_check=False
+                suite=suite, seed=1, bound_check=False, **sizes[suite]
             )
         )
         assert len(rep.records) == records
@@ -197,6 +203,29 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
         assert strip_wall_time(report_to_csv(rep)) == strip_wall_time(
             report_to_csv(checked[suite])
         )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("--name ompc-random --count 0", "--count must be at least 1, got 0"),
+        ("--name ccfl-random --count -2", "--count must be at least 1, got -2"),
+        ("--name ccfl-mc --reps -3", "--reps must be at least 1, got -3"),
+        ("--name ccfl-mc --reps 0", "--reps must be at least 1, got 0"),
+        ("--name ompc-random --reps 5", "suite ompc-random does not read --reps"),
+        ("--name ccfl-random --reps 5", "suite ccfl-random does not read --reps"),
+        ("--name ompc-adversary --count 2", "suite ompc-adversary does not read --count"),
+        ("--name ompc-adversary --reps 2", "suite ompc-adversary does not read --reps"),
+        ("--name ccfl-mc --count 2", "suite ccfl-mc does not read --count"),
+    ],
+)
+def test_cli_suite_rejects_sizes_it_would_replace_or_ignore(
+    args, message, tmp_path, capsys
+):
+    out = tmp_path / "report.csv"
+    assert main(["suite", *args.split(), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
