@@ -30,6 +30,7 @@ __all__ = [
     "Responder",
     "UniformResponder",
     "MpcResponder",
+    "RESPONDERS",
     "ProtocolError",
     "two_block_game",
     "tree_adversary",
@@ -77,6 +78,13 @@ class MpcResponder:
 
     def respond(self, row: CoveringRow) -> np.ndarray:
         return self.solver.offer(row)
+
+
+# the online algorithms by name, each built from the packing system
+RESPONDERS: dict[str, Callable[[PackingSystem], Responder]] = {
+    "mpc": MpcResponder,
+    "uniform": lambda system: UniformResponder(system.n),
+}
 
 
 @dataclass
@@ -142,6 +150,7 @@ class TreeAdversaryResult:
     x_final: np.ndarray
     m: int
     d: int
+    responder: Responder  # the algorithm that played, in its final state
 
     @property
     def lower_bound(self) -> float:
@@ -209,6 +218,7 @@ def tree_adversary(
         x_final=ctx.x.copy(),
         m=m,
         d=d,
+        responder=responder,
     )
 
 

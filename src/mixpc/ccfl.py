@@ -37,6 +37,7 @@ __all__ = [
     "assign_fractional",
     "ccfl_cost",
     "ccfl_dual_certificate",
+    "openness",
     "gamma_trials",
     "umsc_to_ccfl",
 ]
@@ -243,6 +244,11 @@ def ccfl_cost(state: CcflTrialState) -> float:
     )
 
 
+def openness(instance: CcflInstance, x: np.ndarray, z_value: float) -> np.ndarray:
+    """Facility openness of ``x``: congestion over ``Z`` plus the row maximum."""
+    return (instance.dense_demand() * x).sum(axis=1) / z_value + x.max(axis=1)
+
+
 def scaled_violation(state: CcflTrialState) -> float:
     """Current scaled worst facility value max_i (v_i + w_i)."""
     zz, g = state.z_value, state.gamma
@@ -441,10 +447,8 @@ class CcflFractionalSolver:
 
     @property
     def y_aggregate(self) -> np.ndarray:
-        """Facility openness of the aggregate: congestion/Z + row max."""
-        x = self.x_aggregate
-        p = self.instance.dense_demand()
-        return (p * x).sum(axis=1) / self.z_value + x.max(axis=1)
+        """Facility openness of the aggregate."""
+        return openness(self.instance, self.x_aggregate, self.z_value)
 
     @property
     def cumulative_cost(self) -> float:
@@ -467,8 +471,7 @@ class CcflFractionalSolution:
 
     @property
     def y(self) -> np.ndarray:
-        p = self.instance.dense_demand()
-        return (p * self.x).sum(axis=1) / self.z_value + self.x.max(axis=1)
+        return openness(self.instance, self.x, self.z_value)
 
     @property
     def lp1_objective(self) -> float:

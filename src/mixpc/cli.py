@@ -9,27 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-import numpy as np
-
-from .adversary import MpcResponder, UniformResponder, optimal_witness, tree_adversary
+from .adversary import RESPONDERS, optimal_witness, tree_adversary
 from .ccfl import CcflInstance
 from .core import violation
 from .instances import OmpcInstance, ParseError, emit_instance, parse_instance
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
-from .rounding import z_epochs
+from .rounding import epoch_budget, z_epochs
 from .runner import (
     ExperimentConfig,
+    check_adversary_run,
     check_ompc_run,
-    ompc_sigma,
+    ompc_bound,
     report_to_csv,
     run_experiment,
 )
-from .solver import OnlineOmpcSolver
-
-_E = float(np.e)
+from .solver import solve_online
 
 
 def _load(path: str):
@@ -45,51 +41,44 @@ def _write_decision_log(fh, decision_log) -> None:
         fh.write(json.dumps(rec) + "\n")
 
 
+def _exit_code(violations: list[str]) -> int:
+    """Print each violation to stderr; 1 if there were any, else 0."""
+    for v in violations:
+        print(f"VIOLATION {v}", file=sys.stderr)
+    return 1 if violations else 0
+
+
 def _cmd_solve_ompc(args) -> int:
     inst = _load(args.instance)
     if not isinstance(inst, OmpcInstance):
         print("solve-ompc needs a packing/covering instance", file=sys.stderr)
         return 2
-    solver = OnlineOmpcSolver(inst.system)
-    for row in inst.rows:
-        solver.offer(row)
-    sol = solver.finish()
+    sol = solve_online(inst.system, inst.rows)
     print(f"lambda {sol.lambda_value!r}")
     print(f"trials {len(sol.trials)}")
     print(f"phases {sum(rec.phases for rec in sol.trials)}")
     if args.bound_check:
         opt = ompc_opt(inst.system, list(inst.rows))
-        sigma = ompc_sigma(inst)
-        bound = 32.0 * sigma * math.log(_E * inst.system.m)
         print(f"oracle {opt.value!r}")
-        print(f"bound {bound!r}")
-        violations = check_ompc_run(inst, sol, opt.value, args.instance)
-        for v in violations:
-            print(f"VIOLATION {v}", file=sys.stderr)
-        if violations:
-            return 1
+        print(f"bound {ompc_bound(inst)!r}")
+        return _exit_code(check_ompc_run(inst, sol, opt.value, args.instance))
     return 0
 
 
 def _cmd_adversary(args) -> int:
-    if args.algorithm == "mpc":
-        factory = MpcResponder
-    else:
-        factory = lambda system: UniformResponder(system.n)  # noqa: E731
-    result = tree_adversary(args.m, args.d, factory)
+    result = tree_adversary(args.m, args.d, RESPONDERS[args.algorithm])
     witness = optimal_witness(result)
     inst = OmpcInstance(result.system, result.transcript)
-    lam = result.algorithm_value()
-    print(f"lambda {lam!r}")
+    print(f"lambda {result.algorithm_value()!r}")
     print(f"lower_bound {result.lower_bound!r}")
     print(f"witness_violation {violation(result.system, witness)!r}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(emit_instance(inst))
         print(f"instance -> {args.out}")
-    if args.bound_check and lam < result.lower_bound - 1e-9:
-        print("VIOLATION algorithm value below the forced bound", file=sys.stderr)
-        return 1
+    if args.bound_check:
+        label = f"adversary-m{args.m}-d{args.d}"
+        return _exit_code(check_adversary_run(result, witness, label))
     return 0
 
 
@@ -112,13 +101,7 @@ def _cmd_solve_ccfl(args) -> int:
         except ValueError:
             print("bound-check skipped: instance beyond brute-force guard")
             return 0
-        cap = (
-            args.epoch_constant
-            * math.log(_E * inst.m * inst.n) ** 2
-            * math.log(2.0 * inst.mu * inst.m * inst.n * inst.rho)
-            * 4.0
-            * zstar
-        )
+        cap = 4.0 * epoch_budget(inst, zstar, args.epoch_constant)
         print(f"zstar {zstar!r}")
         print(f"bound {cap!r}")
         if result.per_epoch_total > cap:
@@ -173,9 +156,7 @@ def _cmd_suite(args) -> int:
     report = run_experiment(config)
     if not args.out:
         sys.stdout.write(report_to_csv(report))
-    for v in report.violations:
-        print(f"VIOLATION {v}", file=sys.stderr)
-    return 0 if report.passed else 1
+    return _exit_code(report.violations)
 
 
 # the options a subcommand may take; each subcommand names the ones it reads
@@ -220,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True, help="leaves (power of two)")
     p.add_argument("--d", type=int, required=True, help="block size (power of two)")
-    p.add_argument("--algorithm", choices=("mpc", "uniform"), default="mpc")
+    p.add_argument("--algorithm", choices=tuple(RESPONDERS), default="mpc")
     command(
         "solve-ccfl",
         _cmd_solve_ccfl,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import (
-    MpcResponder,
-    UniformResponder,
+    RESPONDERS,
+    TreeAdversaryResult,
     optimal_witness,
     tree_adversary,
 )
@@ -31,7 +31,7 @@ from .core import violation
 from .instances import OmpcInstance, gen_random_ccfl, gen_random_ompc
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
 from .rounding import McRoundingStats, mc_rounding
-from .solver import OnlineOmpcSolver, dual_certificate, mu_for
+from .solver import dual_certificate, mu_for, solve_online
 
 __all__ = [
     "ExperimentRecord",
@@ -41,8 +41,11 @@ __all__ = [
     "report_to_csv",
     "ompc_sigma",
     "ompc_phase_budget",
+    "ompc_bound",
+    "ccfl_bound",
     "check_ompc_run",
     "check_ccfl_run",
+    "check_adversary_run",
     "check_mc_stats",
     "suite_ompc_adversary",
     "suite_ompc_random",
@@ -51,6 +54,14 @@ __all__ = [
 ]
 
 _E = float(np.e)
+
+# a trial's least per-phase primal-dual gap may fall below 0 by PD_TOL, and
+# its scaled dual residuals may rise above 0 by DUAL_TOL, before a check fails
+PD_TOL = 1e-9
+DUAL_TOL = 1e-9
+# the Monte-Carlo mean worst candidate congestion may exceed its bound by
+# this fraction
+CONGESTION_SLACK = 0.05
 
 REPORT_COLUMNS = (
     "instance",
@@ -146,6 +157,17 @@ def ompc_phase_budget(instance: OmpcInstance) -> int:
     return instance.system.n * math.ceil(math.log(arg) / math.log(mu))
 
 
+def ompc_bound(instance: OmpcInstance) -> float:
+    """Competitive ratio ``32 sigma ln(e m)`` of the online solver."""
+    return 32.0 * ompc_sigma(instance) * math.log(_E * instance.system.m)
+
+
+def ccfl_bound(instance: CcflInstance) -> float:
+    """Fractional cost ratio ``8 sigma (1 + 6 ln(e m n))`` against OPT1."""
+    log_emn = math.log(_E * instance.m * instance.n)
+    return 8.0 * instance.sigma * (1.0 + 6.0 * log_emn)
+
+
 def _ompc_dual_feasible(
     instance: OmpcInstance, state, sigma: float
 ) -> tuple[float, float]:
@@ -167,29 +189,34 @@ def check_ompc_run(
     solution,
     opt_value: float,
     label: str,
-    pd_tol: float = 1e-9,
-    dual_tol: float = 1e-9,
 ) -> list[str]:
-    """All bound checks for one solved stream; returns violation messages."""
+    """All bound checks for one solved stream; returns violation messages.
+
+    At ``OPT = 0`` no ratio holds.  Every covering row then holds a variable
+    with an empty packing column, which the solver raises without running a
+    phase, so each trial must have run none.
+    """
     out: list[str] = []
     sigma = ompc_sigma(instance)
     m = instance.system.m
-    comp_bound = 32.0 * sigma * math.log(_E * m)
-    if solution.lambda_value > comp_bound * opt_value * (1 + 1e-9):
+    comp_bound = ompc_bound(instance)
+    if opt_value != 0.0 and solution.lambda_value > comp_bound * opt_value * (1 + 1e-9):
         out.append(
             f"{label}: online {solution.lambda_value} exceeds "
             f"{comp_bound} * OPT ({opt_value})"
         )
     budget = ompc_phase_budget(instance)
     for t, rec in enumerate(solution.trials):
+        if opt_value == 0.0 and rec.phases:
+            out.append(f"{label}: trial {t} ran {rec.phases} phases at OPT 0")
         if rec.phases > budget:
             out.append(f"{label}: trial {t} used {rec.phases} phases > budget {budget}")
-        if rec.state.min_pd_gap < -pd_tol:
+        if rec.state.min_pd_gap < -PD_TOL:
             out.append(
-                f"{label}: trial {t} primal-dual gap {rec.state.min_pd_gap} < -{pd_tol}"
+                f"{label}: trial {t} primal-dual gap {rec.state.min_pd_gap} < -{PD_TOL}"
             )
         fam1, fam2 = _ompc_dual_feasible(instance, rec.state, sigma)
-        if fam1 > dual_tol or fam2 > dual_tol:
+        if fam1 > DUAL_TOL or fam2 > DUAL_TOL:
             out.append(f"{label}: trial {t} dual infeasible ({fam1}, {fam2})")
         y_scaled, _ = dual_certificate(rec.state, sigma)
         weak = sum(y_scaled.values())
@@ -210,14 +237,11 @@ def check_ccfl_run(
     solution,
     opt1_value: float,
     label: str,
-    pd_tol: float = 1e-9,
-    dual_tol: float = 1e-9,
 ) -> list[str]:
     out: list[str] = []
-    m, n = instance.m, instance.n
-    sigma = instance.sigma
+    m = instance.m
     zz = solution.z_value
-    frac_bound = 8.0 * sigma * (1.0 + 6.0 * math.log(_E * m * n)) * opt1_value
+    frac_bound = ccfl_bound(instance) * opt1_value
     if solution.cumulative_cost > frac_bound * (1 + 1e-9):
         out.append(
             f"{label}: cumulative fractional cost {solution.cumulative_cost} "
@@ -228,20 +252,20 @@ def check_ccfl_run(
     p_dense = instance.dense_demand()
     a_dense = instance.dense_assign_cost()
     for t, st in enumerate(solution.trials):
-        if st.min_pd_gap < -pd_tol:
+        if st.min_pd_gap < -PD_TOL:
             out.append(
-                f"{label}: trial {t} primal-dual gap {st.min_pd_gap} < -{pd_tol}"
+                f"{label}: trial {t} primal-dual gap {st.min_pd_gap} < -{PD_TOL}"
             )
         cert = ccfl_dual_certificate(st)
         szscale = max(1.0, zz)
-        if float(cert.delta.sum()) - zz > dual_tol * szscale:
+        if float(cert.delta.sum()) - zz > DUAL_TOL * szscale:
             out.append(f"{label}: trial {t} dual family-3 infeasible")
         beta_by_fac = np.zeros(m)
         for (i, _j), b in cert.beta.items():
             beta_by_fac[i] += b
         fam2 = beta_by_fac + zz * cert.gamma_ - cert.delta - instance.fixed_charge
         cscale = np.maximum(1.0, instance.fixed_charge)
-        if float((fam2 / cscale).max()) > dual_tol:
+        if float((fam2 / cscale).max()) > DUAL_TOL:
             out.append(f"{label}: trial {t} dual family-2 infeasible")
         worst1 = -math.inf
         for (i, j), b in cert.beta.items():
@@ -252,7 +276,7 @@ def check_ccfl_run(
                 - a_dense[i, j]
             )
             worst1 = max(worst1, lhs)
-        if worst1 > dual_tol:
+        if worst1 > DUAL_TOL:
             out.append(f"{label}: trial {t} dual family-1 infeasible ({worst1})")
         weak = float(cert.alpha.sum())
         if weak > (opt1_value / st.gamma) * (1 + 1e-7) + 1e-12:
@@ -260,6 +284,24 @@ def check_ccfl_run(
                 f"{label}: trial {t} weak duality {weak} > OPT1/gamma "
                 f"{opt1_value / st.gamma}"
             )
+    return out
+
+
+def check_adversary_run(
+    result: TreeAdversaryResult, witness: np.ndarray, label: str
+) -> list[str]:
+    """The witness covers every row at violation exactly 1, and the
+    algorithm reaches the forced ``log2(m) H_d / 2``."""
+    out: list[str] = []
+    wviol = violation(result.system, witness)
+    if abs(wviol - 1.0) > 1e-12:
+        out.append(f"{label}: witness violation {wviol} != 1")
+    covered = min(row.coverage(witness) for row in result.transcript)
+    if covered < 1.0 - 1e-12:
+        out.append(f"{label}: witness leaves a row uncovered")
+    lam = result.algorithm_value()
+    if lam < result.lower_bound - 1e-9:
+        out.append(f"{label}: algorithm value {lam} below bound {result.lower_bound}")
     return out
 
 
@@ -273,60 +315,32 @@ def suite_ompc_adversary(
     ds: tuple[int, ...] = (8, 16),
     seed: int = 0,
     algorithm: str = "mpc",
-    with_oracle: bool = True,
     with_checks: bool = True,
 ) -> ExperimentReport:
     """Tree-adversary grid; checks the witness and the forced lower bound."""
+    if algorithm not in RESPONDERS:
+        raise ValueError(f"unknown adversary algorithm {algorithm!r}")
     report = ExperimentReport()
     for m in ms:
         for d in ds:
             t0 = time.perf_counter()
-            if algorithm == "mpc":
-                holder: dict = {}
-
-                def factory(system, _h=holder):
-                    r = MpcResponder(system)
-                    _h["solver"] = r.solver
-                    return r
-
-            elif algorithm == "uniform":
-                holder = {}
-
-                def factory(system, _h=holder):
-                    return UniformResponder(system.n)
-
-            else:
-                raise ValueError(f"unknown adversary algorithm {algorithm!r}")
-            result = tree_adversary(m, d, factory)
+            result = tree_adversary(m, d, RESPONDERS[algorithm])
             witness = optimal_witness(result)
-            wviol = violation(result.system, witness)
             lam = result.algorithm_value()
             label = f"adversary-m{m}-d{d}"
-            if with_checks:
-                covered = min(row.coverage(witness) for row in result.transcript)
-                if abs(wviol - 1.0) > 1e-12:
-                    report.violations.append(f"{label}: witness violation {wviol} != 1")
-                if covered < 1.0 - 1e-12:
-                    report.violations.append(f"{label}: witness leaves a row uncovered")
-                if lam < result.lower_bound - 1e-9:
-                    report.violations.append(
-                        f"{label}: algorithm value {lam} below bound "
-                        f"{result.lower_bound}"
-                    )
             inst = OmpcInstance(result.system, result.transcript)
-            opt_val = None
-            ratio = None
-            if with_oracle:
-                opt_val = ompc_opt(result.system, list(result.transcript)).value
-                ratio = lam / opt_val
-                if with_checks and ratio < 1.0 - 1e-9:
+            opt_val = ompc_opt(result.system, list(result.transcript)).value
+            ratio = lam / opt_val
+            if with_checks:
+                report.violations.extend(check_adversary_run(result, witness, label))
+                if ratio < 1.0 - 1e-9:
                     report.violations.append(f"{label}: online beat the oracle")
             phases = trials = None
             if algorithm == "mpc":
-                sol = holder["solver"].finish()
+                sol = result.responder.solver.finish()
                 phases = sum(rec.phases for rec in sol.trials)
                 trials = len(sol.trials)
-                if with_oracle and with_checks:
+                if with_checks:
                     report.violations.extend(
                         check_ompc_run(inst, sol, opt_val, label)
                     )
@@ -347,7 +361,7 @@ def suite_ompc_adversary(
                     bound=result.lower_bound,
                     phases=phases,
                     trials=trials,
-                    witness=wviol,
+                    witness=violation(result.system, witness),
                     wall_time_s=time.perf_counter() - t0,
                 )
             )
@@ -373,14 +387,9 @@ def suite_ompc_random(
     for idx in range(count):
         inst, dims = _ompc_random_instance(seed, idx)
         t0 = time.perf_counter()
-        solver = OnlineOmpcSolver(inst.system)
-        for row in inst.rows:
-            solver.offer(row)
-        sol = solver.finish()
+        sol = solve_online(inst.system, inst.rows)
         opt = ompc_opt(inst.system, list(inst.rows))
         label = f"ompc-random-{idx}"
-        sigma = ompc_sigma(inst)
-        m = inst.system.m
         ratio = sol.lambda_value / opt.value
         if with_checks:
             report.violations.extend(check_ompc_run(inst, sol, opt.value, label))
@@ -391,16 +400,16 @@ def suite_ompc_random(
                 instance=label,
                 seed=seed + idx,
                 algorithm="mpc-approx",
-                m=m,
+                m=inst.system.m,
                 n=inst.system.n,
                 d=inst.d,
                 rho=inst.system.rho,
                 kappa=inst.kappa,
-                sigma=sigma,
+                sigma=ompc_sigma(inst),
                 online=sol.lambda_value,
                 oracle=opt.value,
                 ratio=ratio,
-                bound=32.0 * sigma * math.log(_E * m),
+                bound=ompc_bound(inst),
                 phases=sum(rec.phases for rec in sol.trials),
                 trials=len(sol.trials),
                 wall_time_s=time.perf_counter() - t0,
@@ -431,8 +440,6 @@ def suite_ccfl_random(
                 report.violations.append(f"{label}: oracle returned {opt1.status}")
             continue
         sol = gamma_trials(inst, zstar)
-        sigma = inst.sigma
-        bound = 8.0 * sigma * (1.0 + 6.0 * math.log(_E * inst.m * inst.n))
         if with_checks:
             report.violations.extend(
                 check_ccfl_run(inst, sol, opt1.objective, label)
@@ -447,11 +454,11 @@ def suite_ccfl_random(
                 m=inst.m,
                 n=inst.n,
                 rho=inst.rho,
-                sigma=sigma,
+                sigma=inst.sigma,
                 online=sol.cumulative_cost,
                 oracle=opt1.objective,
                 ratio=sol.cumulative_cost / opt1.objective,
-                bound=bound,
+                bound=ccfl_bound(inst),
                 phases=sum(
                     sum(st.phases_per_client.values()) for st in sol.trials
                 ),
@@ -485,9 +492,7 @@ def _mc_opened_cap(stats: McRoundingStats) -> float:
     return stats.opened_bound * (1.0 + 3.0 / math.sqrt(stats.reps))
 
 
-def check_mc_stats(
-    stats: McRoundingStats, congestion_slack: float = 0.05
-) -> list[str]:
+def check_mc_stats(stats: McRoundingStats) -> list[str]:
     """The three Monte-Carlo rounding caps: step-4 frequency per client,
     mean opened fixed charge, mean worst candidate congestion."""
     out: list[str] = []
@@ -499,7 +504,7 @@ def check_mc_stats(
     opened_cap = _mc_opened_cap(stats)
     if stats.mean_opened_cost > opened_cap:
         out.append(f"mc: mean opened cost {stats.mean_opened_cost} above {opened_cap}")
-    cong_cap = stats.congestion_bound * (1.0 + congestion_slack)
+    cong_cap = stats.congestion_bound * (1.0 + CONGESTION_SLACK)
     if stats.mean_max_candidate_congestion > cong_cap:
         out.append(
             f"mc: mean max candidate congestion "
@@ -513,7 +518,6 @@ def suite_ccfl_mc(
     seed: int = 0,
     m: int = 5,
     n: int = 20,
-    congestion_slack: float = 0.05,
     with_checks: bool = True,
 ) -> tuple[ExperimentReport, McRoundingStats]:
     """Monte-Carlo rounding statistics on one frozen fractional solution."""
@@ -532,7 +536,7 @@ def suite_ccfl_mc(
     stats = mc_rounding(inst, x_per_client, y_per_client, z_value, reps, seed)
     report = ExperimentReport()
     if with_checks:
-        report.violations.extend(check_mc_stats(stats, congestion_slack))
+        report.violations.extend(check_mc_stats(stats))
     report.records.append(
         ExperimentRecord(
             instance=f"ccfl-mc-m{m}-n{n}",

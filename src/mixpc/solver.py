@@ -32,8 +32,6 @@ __all__ = [
     "solve_online",
 ]
 
-_E = float(np.e)
-
 # floating-point guard: a row counts as satisfied at 1 - SAT_SLACK
 SAT_SLACK = 1e-12
 
@@ -203,10 +201,6 @@ class OmpcSolution:
     lambda_value: float
     trials: tuple[TrialRecord, ...]
 
-    @property
-    def trial_count(self) -> int:
-        return len(self.trials)
-
 
 class OnlineOmpcSolver:
     """Streaming interface: feed covering rows, read back the aggregate x.
@@ -224,37 +218,6 @@ class OnlineOmpcSolver:
         self._state: OmpcTrialState | None = None
         self._first_row: CoveringRow | None = None
         self._rows_offered = 0
-        # running stream statistics (post-hoc sigma inputs)
-        self._cov_max_nnz = 0
-        self._cov_cmin = math.inf
-        self._cov_cmax = 0.0
-
-    # -- stream statistics ------------------------------------------------
-
-    @property
-    def kappa(self) -> float:
-        """Max/min nonzero covering coefficient over the rows seen so far."""
-        if self._rows_offered == 0:
-            return 1.0
-        return self._cov_cmax / self._cov_cmin
-
-    @property
-    def d(self) -> int:
-        """Largest support over packing rows and covering rows seen so far."""
-        return max(self.system.d, self._cov_max_nnz)
-
-    @property
-    def mu(self) -> float:
-        return mu_for(self.system.m)
-
-    @property
-    def sigma(self) -> float:
-        """``e^2 ln(mu d^2 rho kappa)`` with the running d and kappa."""
-        return (_E**2) * math.log(
-            self.mu * self.d**2 * self.system.rho * self.kappa
-        )
-
-    # -- online protocol ---------------------------------------------------
 
     @property
     def x_total(self) -> np.ndarray:
@@ -271,9 +234,6 @@ class OnlineOmpcSolver:
             self._state = init_trial(self.system, gamma0, row)
         row_id = self._rows_offered
         self._rows_offered += 1
-        self._cov_max_nnz = max(self._cov_max_nnz, row.nnz)
-        self._cov_cmin = min(self._cov_cmin, row.min_coeff)
-        self._cov_cmax = max(self._cov_cmax, row.max_coeff)
         while not process_constraint(self._state, row, row_id):
             self._retire(failed=True)
             self._state = init_trial(
@@ -304,10 +264,6 @@ class OnlineOmpcSolver:
             lambda_value=violation(self.system, x),
             trials=tuple(self._records),
         )
-
-    @property
-    def trials(self) -> tuple[TrialRecord, ...]:
-        return tuple(self._records)
 
 
 def solve_online(

@@ -271,10 +271,15 @@ def test_gamma_trials_infeasible_raises():
 
 
 def test_gamma_doubles_on_failure():
-    # a tiny Z forces the cost cap quickly, so several trials are needed
-    inst = gen_random_ccfl(4, 6, seed=2)
-    zstar = brute_force_zstar(inst)
-    sol = gamma_trials(inst, zstar)
+    # heavy demands on two facilities at the least Z that gives every client
+    # a candidate: the congestion term passes the fail level, so the first
+    # trial fails
+    inst = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    sol = gamma_trials(inst, max(inst.entry_cost(j).min() for j in range(inst.n)))
+    assert len(sol.trials) >= 2
     gammas = [st.gamma for st in sol.trials]
     for g0, g1 in zip(gammas, gammas[1:]):
         assert g1 == pytest.approx(2.0 * g0)

@@ -1,11 +1,20 @@
+import dataclasses
 import json
 
 import pytest
 
-from mixpc import emit_instance, gen_random_ccfl, gen_random_ompc
+from mixpc import (
+    emit_instance,
+    gen_random_ccfl,
+    gen_random_ompc,
+    parse_instance,
+    solve_online,
+)
+from mixpc import cli
 from mixpc.cli import main
 from mixpc.runner import (
     ExperimentConfig,
+    check_ompc_run,
     report_to_csv,
     run_experiment,
     suite_ompc_adversary,
@@ -74,6 +83,37 @@ def test_cli_solve_ompc_roundtrip(tmp_path, capsys):
     assert "lambda" in out and "oracle" in out
 
 
+# variable 1 has an empty packing column and alone covers the row: OPT = 0
+OMPC_OPT_ZERO = """mixpc-instance v1
+kind ompc
+m 1
+n 2
+packing 1
+0 0 1.0
+covering 1
+1:1.0
+end
+"""
+
+
+def test_opt_zero_is_checked_by_phase_count(tmp_path, capsys):
+    path = tmp_path / "opt0.txt"
+    path.write_text(OMPC_OPT_ZERO)
+    assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
+    out = capsys.readouterr()
+    assert "phases 0\noracle 0.0\n" in out.out
+    assert out.err == ""
+    inst = parse_instance(OMPC_OPT_ZERO)
+    sol = solve_online(inst.system, inst.rows)
+    assert check_ompc_run(inst, sol, 0.0, "opt0") == []
+    planted = dataclasses.replace(
+        sol, trials=(dataclasses.replace(sol.trials[0], phases=1),)
+    )
+    assert check_ompc_run(inst, planted, 0.0, "opt0") == [
+        "opt0: trial 0 ran 1 phases at OPT 0"
+    ]
+
+
 def test_cli_adversary_writes_instance(tmp_path, capsys):
     out_path = tmp_path / "adv.txt"
     code = main(
@@ -97,6 +137,24 @@ def test_cli_adversary_writes_instance(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "opt" in out
+
+
+def test_cli_adversary_bound_check_checks_the_witness(monkeypatch, capsys):
+    real = cli.optimal_witness
+
+    def drop_last_survivor(result):
+        # the last marked node's survivor alone covers the final row; the
+        # first one keeps the witness at violation 1
+        witness = real(result)
+        witness[result.survivors[result.marked[-1]]] = 0.0
+        return witness
+
+    monkeypatch.setattr(cli, "optimal_witness", drop_last_survivor)
+    argv = ["adversary", "--m", "4", "--d", "2", "--algorithm", "uniform"]
+    assert main([*argv, "--bound-check"]) == 1
+    err = capsys.readouterr().err
+    assert err == "VIOLATION adversary-m4-d2: witness leaves a row uncovered\n"
+    assert main(argv) == 0
 
 
 def test_cli_solve_ccfl_and_round(tmp_path, capsys):
@@ -191,6 +249,7 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
     }
     monkeypatch.setattr("mixpc.runner.check_ompc_run", refuse)
     monkeypatch.setattr("mixpc.runner.check_ccfl_run", refuse)
+    monkeypatch.setattr("mixpc.runner.check_adversary_run", refuse)
     monkeypatch.setattr("mixpc.runner.check_mc_stats", refuse)
     for suite, records in suites.items():
         rep = run_experiment(
