@@ -1,5 +1,11 @@
 """Hot inner loops: the phase loops of both online solvers and the
-Monte-Carlo rounding sweep, each one vectorised numpy function.
+Monte-Carlo rounding sweep.
+
+The ompc phase loop and the rounding sweep are vectorised numpy functions.
+The ccfl phase loop runs on Python floats: a client's phase touches only
+its candidate facilities, at most m of them, and at the small m of the
+assignment workloads numpy's per-call overhead costs more than the
+arithmetic (see the comment above ``ccfl_client_phases``).
 
 Callers look each kernel up as ``_kernels.<name>`` at call time, so a
 wrapper put in its place (a timer, say) sees every call.
@@ -81,13 +87,22 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
 # load, chi_j, eta are mutated in place.  at_max flags whether the client's
 # variable sits at its facility's row maximum.  The caller passes
 # x_j == rowmax[fac]: a row maximum is only ever assigned from the variable
-# that holds it (here, rowmax[fac] = where(at_max, cand, capv) with x_j set
-# to the same cand or capv), so for the active client the exact comparison
+# that holds it (here, rowmax[i] = cand with x_j set to the same cand, or
+# x_j capped at rowmax[i]), so for the active client the exact comparison
 # is the tie itself, at entry and after every phase.  Returns
 #   (status, phases, alpha_inc, max_tl, min_gap)
 # where min_gap is the least per-phase primal-dual gap, the dual increase
 # e * eps minus the increase of the potential, over the phases run (inf
 # when none ran).
+#
+# This kernel runs on Python floats, not numpy arrays: it reads every
+# array into a list once per call and writes the lists back once at the
+# end.  At the m <= 8 of every suite and benchmark workload, a numpy phase
+# (about 45 calls on arrays of at most 8 elements) costs its call overhead,
+# about 3x the scalar loop.  The scalar loop's cost grows with m and meets
+# numpy's between m = 32 and m = 48, with every facility a candidate
+# (README, "Benchmark").  math.exp and the sequential sums may differ from
+# numpy's exp and pairwise/BLAS sums in the last bit.
 #
 # The potential terms are evaluated once per phase.  The terms computed
 # after phase k's update are the terms before phase k+1, since they depend
@@ -99,69 +114,106 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
 
 
 def _ccfl_cost_terms(load, rowmax, x_j, s2_rest, asum, c, a, zz, gamma, zg):
-    t1 = load / zg
-    hi1 = t1.max()
-    w1 = np.exp(t1 - hi1)
-    s1 = w1.sum()
-    e2 = np.exp(x_j / gamma)
-    s2 = s2_rest + e2.sum()
+    """Potential at the current lists and the terms a phase reads from it:
+    (cost, w1, s1, e2, s2, tl), with w1/s1 the congestion softmax, e2/s2
+    the assignment one and tl = max(load / zg + rowmax / gamma).
+    """
+    t1 = [lk / zg for lk in load]
+    hi1 = max(t1)
+    tl = -math.inf
+    ct = cr = s1 = 0.0
+    w1 = []
+    for t, rk, ck in zip(t1, rowmax, c):
+        v = t + rk / gamma
+        if v > tl:
+            tl = v
+        ct += ck * t
+        cr += ck * rk
+        w = math.exp(t - hi1)
+        w1.append(w)
+        s1 += w
+    e2 = []
+    se = ax = 0.0
+    for xt, at in zip(x_j, a):
+        e = math.exp(xt / gamma)
+        e2.append(e)
+        se += e
+        ax += at * xt
+    s2 = s2_rest + se
     est = hi1 + math.log(s1) + math.log(s2)
-    cost = (
-        zz * est
-        + float(c @ t1)
-        + float(c @ rowmax) / gamma
-        + (asum + float(a @ x_j)) / gamma
-    )
-    return cost, w1, s1, e2, s2, t1
+    cost = zz * est + ct + cr / gamma + (asum + ax) / gamma
+    return cost, w1, s1, e2, s2, tl
 
 
 def ccfl_client_phases(
     fac, p, a, c, x_j, at_max, rowmax, load, chi_j, eta,
     s2_rest, asum_rest, zz, gamma, mu, fail_level,
 ):
+    fac, p, a, c = fac.tolist(), p.tolist(), a.tolist(), c.tolist()
+    xs, am, rm, ld = x_j.tolist(), at_max.tolist(), rowmax.tolist(), load.tolist()
+    ch, et = chi_j.tolist(), eta.tolist()
+    zg = zz * gamma
+    cover = 0.0
+    for v in xs:
+        cover += v
+    if cover >= 1.0:
+        tl = max(lk / zg + rk / gamma for lk, rk in zip(ld, rm))
+        return SATISFIED, 0, 0.0, tl, math.inf
+    candidates = range(len(fac))
+    facilities = range(len(ld))
+    p_z = [v / zz for v in p]
+    c_g = [c[i] / gamma for i in fac]
+    a_g = [v / gamma for v in a]
+    mu1 = mu - 1.0
+    rate = [0.0] * len(fac)
+    w1q = [0.0] * len(ld)
     phases = 0
     alpha_inc = 0.0
-    max_tl = -np.inf
     min_gap = math.inf
-    cover = float(x_j.sum())
     status = SATISFIED
-    if cover < 1.0:
-        zg = zz * gamma
-        p_z = p / zz
-        c_g = c[fac] / gamma
-        a_g = a / gamma
-        mu1 = mu - 1.0
-        terms = _ccfl_cost_terms(
-            load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma, zg
-        )
+    terms = _ccfl_cost_terms(ld, rm, xs, s2_rest, asum_rest, c, a, zz, gamma, zg)
+    # the terms before each phase, and after the last, are all evaluated,
+    # so their tl values hold every snapshot of the scaled violation
+    max_tl = terms[5]
     while cover < 1.0:
-        cost0, w1, s1, e2, s2, t1 = terms
-        e2q = e2 / s2
-        w1q = w1 / s1
-        np.maximum(chi_j, e2q, out=chi_j)
-        np.maximum(eta, w1q, out=eta)
-        tl = float((t1 + rowmax / gamma).max())
-        if tl > max_tl:
-            max_tl = tl
-        rate = zz * (p_z * w1q[fac] + e2q) / gamma + c_g * (p_z + at_max) + a_g
-        rmin = float(rate.min())
-        eps = mu1 * rmin
-        cand = x_j * (1.0 + mu1 * (rmin / rate))
-        capv = rowmax[fac]
+        cost0, w1, s1, e2, s2, _ = terms
+        for k in facilities:
+            q = w1[k] / s1
+            w1q[k] = q
+            if q > et[k]:
+                et[k] = q
+        rmin = math.inf
+        for t in candidates:
+            q = e2[t] / s2
+            if q > ch[t]:
+                ch[t] = q
+            pz = p_z[t]
+            r = zz * (pz * w1q[fac[t]] + q) / gamma + c_g[t] * (pz + am[t]) + a_g[t]
+            rate[t] = r
+            if r < rmin:
+                rmin = r
         # a variable at its row maximum carries it up; any other stops at
         # the maximum and joins it there
-        new = np.where(at_max, cand, np.minimum(capv, cand))
-        rowmax[fac] = np.where(at_max, cand, capv)
-        at_max |= cand >= capv
-        dx = new - x_j
-        x_j[:] = new
-        load[fac] += p * dx
-        cover += float(dx.sum())
-        dual = _E * eps
+        dsum = 0.0
+        for t in candidates:
+            i = fac[t]
+            xt = xs[t]
+            cand = xt * (1.0 + mu1 * (rmin / rate[t]))
+            if am[t]:
+                rm[i] = cand
+            elif cand >= rm[i]:
+                cand = rm[i]
+                am[t] = True
+            dx = cand - xt
+            xs[t] = cand
+            ld[i] += p[t] * dx
+            dsum += dx
+        cover += dsum
+        dual = _E * (mu1 * rmin)
         alpha_inc += dual
-        terms = _ccfl_cost_terms(
-            load, rowmax, x_j, s2_rest, asum_rest, c, a, zz, gamma, zg
-        )
+        terms = _ccfl_cost_terms(ld, rm, xs, s2_rest, asum_rest, c, a, zz, gamma, zg)
+        if terms[5] > max_tl:
+            max_tl = terms[5]
         gap = dual - (terms[0] - cost0)
         if gap < min_gap:
             min_gap = gap
@@ -169,10 +221,12 @@ def ccfl_client_phases(
         if terms[0] > fail_level:
             status = FAILED
             break
-    # closing snapshot keeps the scaled-violation maximum current
-    tl = float((load / (zz * gamma) + rowmax / gamma).max())
-    if tl > max_tl:
-        max_tl = tl
+    x_j[:] = xs
+    at_max[:] = am
+    rowmax[:] = rm
+    load[:] = ld
+    chi_j[:] = ch
+    eta[:] = et
     return status, phases, alpha_inc, max_tl, min_gap
 
 

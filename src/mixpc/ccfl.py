@@ -135,7 +135,7 @@ class CcflInstance:
         cl = self.clients[j]
         return self.fixed_charge[cl.facilities] + cl.demand + cl.assign_cost
 
-    @property
+    @cached_property
     def rho(self) -> float:
         """Worst per-client spread of total single-assignment cost."""
         worst = 1.0

@@ -25,7 +25,7 @@ from .runner import (
     report_to_csv,
     run_experiment,
 )
-from .solver import solve_online
+from .solver import solve_online, start_point, start_scale
 
 
 def _load(path: str):
@@ -126,6 +126,9 @@ def _cmd_round(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load(args.instance)
     if isinstance(inst, OmpcInstance):
+        # the coefficient range solve-ompc rejects is an input error here too
+        first = inst.rows[0]
+        start_point(inst.system, first, start_scale(inst.system, first))
         opt = ompc_opt(inst.system, list(inst.rows))
         print(f"opt {opt.value!r}")
         print(f"dual {opt.dual_value!r}")

@@ -8,6 +8,7 @@ round-trips float64 exactly, so emit -> parse -> emit is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,13 +51,14 @@ class OmpcInstance:
             if np.any(row.indices >= self.system.n):
                 raise ValueError("covering row references unknown variable")
 
-    @property
+    @cached_property
     def d(self) -> int:
         """Largest support over packing and covering rows."""
         return max(self.system.d, max(r.nnz for r in self.rows))
 
-    @property
+    @cached_property
     def kappa(self) -> float:
+        """Ratio of the largest to the smallest covering coefficient."""
         cmin = min(r.min_coeff for r in self.rows)
         cmax = max(r.max_coeff for r in self.rows)
         return cmax / cmin

@@ -26,6 +26,8 @@ __all__ = [
     "TrialRecord",
     "OmpcSolution",
     "OnlineOmpcSolver",
+    "start_scale",
+    "start_point",
     "init_trial",
     "process_constraint",
     "dual_certificate",
@@ -81,12 +83,14 @@ class OmpcTrialState:
         return violation(self.system, self.x)
 
 
-def init_trial(
-    system: PackingSystem,
-    gamma: float,
-    first_row: CoveringRow,
-) -> OmpcTrialState:
-    """Fresh trial with every variable at ``1 / (d1^2 rho kappa1)``.
+def start_scale(system: PackingSystem, first_row: CoveringRow) -> float:
+    """The first trial's scale ``gamma0 = max P / (d1 rho kappa1)``."""
+    d1 = max(system.d, first_row.nnz)
+    return system.matrix.max() / (d1 * system.rho * first_row.max_coeff)
+
+
+def start_point(system: PackingSystem, first_row: CoveringRow, gamma: float) -> float:
+    """Every variable's start value ``x0 = 1 / (d1^2 rho kappa1)``.
 
     ``d1`` is the largest support over the packing rows and the first
     covering row; ``kappa1`` the first row's largest coefficient.  Raises
@@ -102,7 +106,16 @@ def init_trial(
             f"first covering row max {kappa1:g} put the start point at {x0:g} "
             f"and the scale at {gamma:g}; both must be positive and finite"
         )
-    x = np.full(system.n, x0)
+    return x0
+
+
+def init_trial(
+    system: PackingSystem,
+    gamma: float,
+    first_row: CoveringRow,
+) -> OmpcTrialState:
+    """Fresh trial with every variable at ``start_point``."""
+    x = np.full(system.n, start_point(system, first_row, gamma))
     pt = system.scaled(gamma)
     pvx = pt @ x
     hi = pvx.max()
@@ -229,9 +242,7 @@ class OnlineOmpcSolver:
         """Process one covering row; returns the aggregate variable vector."""
         if self._state is None:
             self._first_row = row
-            d1 = max(self.system.d, row.nnz)
-            gamma0 = self.system.matrix.max() / (d1 * self.system.rho * row.max_coeff)
-            self._state = init_trial(self.system, gamma0, row)
+            self._state = init_trial(self.system, start_scale(self.system, row), row)
         row_id = self._rows_offered
         self._rows_offered += 1
         while not process_constraint(self._state, row, row_id):

@@ -136,3 +136,22 @@ def test_adversary_transcript_replays_identically():
     for row in back.rows:
         x = solver.offer(row)
     assert np.allclose(x, res.x_final, rtol=0, atol=0)
+
+
+def test_instance_statistics_are_cached_and_equal_their_formulas():
+    for seed in (1, 4, 11):
+        inst = gen_random_ompc(5, 8, 7, 0.4, (0.5, 3.0), seed=seed)
+        packing_support = int(np.count_nonzero(inst.system.matrix, axis=1).max())
+        d = max(packing_support, max(r.indices.size for r in inst.rows))
+        values = np.concatenate([r.values for r in inst.rows])
+        assert inst.d == d
+        assert inst.kappa == float(values.max()) / float(values.min())
+        assert {"d", "kappa"} <= vars(inst).keys()  # held after first use
+
+        cc = gen_random_ccfl(4, 6, seed=seed, capacity_range=(1.0, 2.0))
+        spreads = [1.0]
+        for cl in cc.clients:
+            cost = cc.fixed_charge[cl.facilities] + cl.demand + cl.assign_cost
+            spreads.append(float(cost.max() / cost.min()))
+        assert cc.rho == max(spreads)
+        assert "rho" in vars(cc)

@@ -1,9 +1,13 @@
-"""The numpy kernels must agree (to roundoff) with plain loop forms.
+"""The kernels must agree (to roundoff) with plain loop forms.
 
 The ``_*_loop`` functions below are reference code: the same phase updates
-written one scalar at a time.  Summation order differs from the vectorised
-kernels, so floats agree to roundoff while statuses, phase counts and flags
-agree exactly.
+written one scalar at a time, indexing numpy arrays.  The ompc and
+Monte-Carlo kernels are vectorised numpy, so their summation order differs
+from the loops.  The ccfl kernel is itself a scalar loop over Python floats
+(numpy's per-call overhead dominates at the few facilities a client
+touches); it fuses passes and carries the potential from one phase to the
+next, so its floats too agree to roundoff.  Statuses, phase counts and
+flags agree exactly.
 """
 
 import math
@@ -11,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from mixpc import _kernels
+from mixpc import _kernels, brute_force_zstar, gamma_trials, gen_random_ccfl
 from mixpc._kernels import FAILED, SATISFIED
 from mixpc.rng import rng_for
 
@@ -269,10 +273,14 @@ def test_ompc_kernel_matches_loop():
         assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
 
 
-def _ccfl_inputs(seed, gamma=1.0, asum_rest=0.0, held=False, x0=0.02, fail=None):
+def _ccfl_inputs(
+    seed, gamma=1.0, asum_rest=0.0, held=False, x0=0.02, fail=None,
+    m=5, fac=None, busy=False,
+):
     g = rng_for(seed, "kernel-ccfl")
-    m, f = 5, 4
-    fac = np.sort(g.choice(m, size=f, replace=False)).astype(np.int64)
+    if fac is None:
+        fac = np.sort(g.choice(m, size=4, replace=False)).astype(np.int64)
+    f = fac.size
     p = 0.2 + g.random(f)
     a = g.random(f) * 0.5
     c = 1.0 + g.random(m)
@@ -287,7 +295,13 @@ def _ccfl_inputs(seed, gamma=1.0, asum_rest=0.0, held=False, x0=0.02, fail=None)
         # cap binds only after a few phases and then at_max[1] flips
         rowmax[fac[1]] = 3.0 * x0
     load = np.zeros(m)
-    load[fac] = p * x_j
+    if busy:
+        # earlier clients already load every facility and hold the maxima
+        # of those outside fac
+        load += 0.5 * g.random(m)
+        others = np.setdiff1d(np.arange(m), fac)
+        rowmax[others] = 0.05 * g.random(others.size)
+    load[fac] += p * x_j
     chi_j = np.zeros(f)
     eta = np.zeros(m)
     n = 6
@@ -327,6 +341,11 @@ def test_ccfl_kernel_matches_loop():
             {"fail": _mid_fail_level(seed)},
             {"asum_rest": 0.7, "fail": _mid_fail_level(seed, asum_rest=0.7)},
             {"x0": 0.25},  # four candidates: x_j already sums to 1
+            {"fac": np.array([3])},  # one candidate
+            # a strict, non-contiguous subset of eight facilities
+            {"m": 8, "fac": np.array([1, 2, 5, 7]), "busy": True},
+            {"m": 8, "fac": np.array([0, 3, 6]), "busy": True, "held": True,
+             "gamma": 2.0, "asum_rest": 0.7},
         )
         for case in cases:
             a_np = _ccfl_inputs(seed, **case)
@@ -377,6 +396,35 @@ def test_ccfl_kernel_evaluates_the_potential_once_per_phase(monkeypatch):
         calls.clear()
         phases = _kernels.ccfl_client_phases(*args)[1]
         assert len(calls) == (phases + 1 if phases > 0 else 0)
+
+
+def test_gamma_trials_agree_with_the_loop_kernel(monkeypatch):
+    cases = [
+        (inst, brute_force_zstar(inst))
+        for inst in (gen_random_ccfl(4, 6, seed=s) for s in (2, 7, 9))
+    ]
+    # heavy demands: the first trial fails and gamma doubles
+    heavy = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    cases.append((heavy, max(heavy.entry_cost(j).min() for j in range(heavy.n))))
+    for inst, z_value in cases:
+        got = gamma_trials(inst, z_value)
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "ccfl_client_phases", _ccfl_client_phases_loop)
+            ref = gamma_trials(inst, z_value)
+        assert len(got.trials) == len(ref.trials)
+        for st, rt in zip(got.trials, ref.trials):
+            assert st.gamma == rt.gamma
+            assert st.failed == rt.failed
+            assert st.phases_per_client == rt.phases_per_client
+            # the same variables hold their facility's maximum
+            assert np.array_equal(st.x == st.rowmax[:, None], rt.x == rt.rowmax[:, None])
+            np.testing.assert_allclose(st.rowmax, rt.rowmax, rtol=1e-12)
+        np.testing.assert_allclose(got.x, ref.x, rtol=1e-12)
+        assert got.cumulative_cost == pytest.approx(ref.cumulative_cost, rel=1e-12)
+    assert len(got.trials) >= 2  # the heavy instance doubled gamma
 
 
 def test_mc_kernel_matches_loop():

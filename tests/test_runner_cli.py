@@ -374,11 +374,18 @@ def test_cli_start_point_out_of_range_is_an_input_error(text, tmp_path, capsys):
     assert "start point at 0 " in err
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    # the oracle rejects the same range, with the same line, before its simplex
+    assert main(["oracle", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == err
 
 
-def test_cli_internal_error_exits_3(tmp_path, capsys):
-    path = tmp_path / "extreme.txt"
-    path.write_text(OMPC_EXTREME_RANGE)
+def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def lost(system, rows):
+        raise RuntimeError("offline packing/covering LP came back infeasible")
+
+    monkeypatch.setattr(cli, "ompc_opt", lost)
+    path = tmp_path / "inst.txt"
+    path.write_text(emit_instance(gen_random_ompc(4, 6, 5, 0.6, (1.0, 3.0), seed=3)))
     assert main(["oracle", "--instance", str(path)]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: offline packing/covering LP came back infeasible\n"
