@@ -1,7 +1,7 @@
 """Online mixed packing/covering solver and the fixed-charge pipeline.
 
 Subpackages:
-  core       packing system, covering rows, smooth max and violation
+  core       packing system, covering rows and violation
   solver     the online packing/covering solver with scale doubling
   adversary  lower-bound instance generators (two-block game, tree walk)
   ccfl       fractional fixed-charge assignment with congestion
@@ -38,7 +38,6 @@ from .ccfl import (
 from .core import (
     CoveringRow,
     PackingSystem,
-    smooth_max,
     violation,
 )
 from .instances import (

@@ -7,6 +7,13 @@ its candidate facilities, at most m of them, and at the small m of the
 assignment workloads numpy's per-call overhead costs more than the
 arithmetic (see the comment above ``ccfl_client_phases``).
 
+Both phase loops carry their penalty estimate from one phase to the next:
+what a phase computes after its update is what the next phase reads
+before its own, so each is computed once per phase.  The ompc loop gives
+the same bits as a loop that recomputes its softmax at every phase start,
+since it runs the same numpy operations on the same operands (see the
+comment above ``ompc_row_phases``).
+
 Callers look each kernel up as ``_kernels.<name>`` at call time, so a
 wrapper put in its place (a timer, say) sees every call.
 ``tests/test_kernels.py`` checks the kernels against plain loop forms of
@@ -40,44 +47,62 @@ FAILED = 1
 #   (status, phases, dual_inc, max_tl, min_gap)
 # where min_gap is the least per-phase primal-dual gap, the dual increase
 # e * eps minus the increase of the penalty estimate, over the phases run
-# (inf when none ran).
+# (inf when none ran).  A row covered at entry returns before it gathers
+# its columns and touches none of the arrays.
+#
+# The softmax over the packing rows is computed once per phase.  The
+# softmax after phase k's update (hi, w, s and the estimate hi + log s) is
+# the softmax before phase k+1, since it depends only on pvx and nothing
+# writes pvx between the end of one phase and the start of the next.  The
+# row's variables are kept in a local copy, written back to x once on
+# either exit.  Every value is computed by the same numpy operations on
+# the same operands, in the same order, as a loop that recomputes the
+# softmax at the start of each phase and updates x[idx] in place, so the
+# results are the same bits; the loop only drops the repeated work.
 # ---------------------------------------------------------------------------
 
 
 def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
+    xi = x[idx]
+    cover = float(val @ xi)
+    if not cover < 1.0 - slack:
+        return SATISFIED, 0, 0.0, max_tl, math.inf
     pcols = pt[:, idx]
+    hi = pvx.max()
+    w = np.exp(pvx - hi)
+    s = w.sum()
+    est0 = hi + math.log(s)
+    status = SATISFIED
     phases = 0
     dual_inc = 0.0
     min_gap = math.inf
-    cover = float(val @ x[idx])
     while cover < 1.0 - slack:
-        hi = pvx.max()
-        w = np.exp(pvx - hi)
-        s = w.sum()
-        est0 = hi + math.log(s)
         ratio = ((w @ pcols) / s) / val
         rmin = ratio.min()
         upd = (mu - 1.0) * (rmin / ratio)  # argmin entry gets exactly mu - 1
-        dx = x[idx] * upd
-        x[idx] += dx
+        dx = xi * upd
+        xi += dx
         pvx += pcols @ dx
         cover += float(val @ dx)
         eps = (mu - 1.0) * rmin
-        hi2 = pvx.max()
-        w2 = np.exp(pvx - hi2)
-        s2 = w2.sum()
-        est1 = hi2 + math.log(s2)
-        np.maximum(z, w2 / s2, out=z)
-        if hi2 > max_tl:
-            max_tl = hi2
+        hi = pvx.max()
+        w = np.exp(pvx - hi)
+        s = w.sum()
+        est1 = hi + math.log(s)
+        np.maximum(z, w / s, out=z)
+        if hi > max_tl:
+            max_tl = hi
         gap = _E * eps - (est1 - est0)
         if gap < min_gap:
             min_gap = gap
         dual_inc += _E * eps
         phases += 1
-        if hi2 >= fail_level:
-            return FAILED, phases, dual_inc, max_tl, min_gap
-    return SATISFIED, phases, dual_inc, max_tl, min_gap
+        if hi >= fail_level:
+            status = FAILED
+            break
+        est0 = est1
+    x[idx] = xi
+    return status, phases, dual_inc, max_tl, min_gap
 
 
 # ---------------------------------------------------------------------------

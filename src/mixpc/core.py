@@ -5,21 +5,22 @@ They work with a smooth log-sum-exp estimate of it,
 
     smooth_max(P, x) = ln sum_k exp((P x)_k),
 
-which sits within ln m of the exact maximum.  It is evaluated with the
-usual shift trick (subtract the largest exponent) so it stays finite right
-up to the solvers' failure boundary.
+which sits within ln m of the exact maximum.  The solvers evaluate it
+inline in their phase kernels (``_kernels``), with the usual shift trick
+(subtract the largest exponent) so it stays finite right up to their
+failure boundary; ``tests/reference_maths.py`` states it as a function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "PackingSystem",
     "CoveringRow",
-    "smooth_max",
     "violation",
 ]
 
@@ -50,12 +51,12 @@ class PackingSystem:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    @property
+    @cached_property
     def d(self) -> int:
         """Largest number of nonzeros in any packing row."""
         return int(np.count_nonzero(self.matrix, axis=1).max())
 
-    @property
+    @cached_property
     def rho(self) -> float:
         """Ratio of the largest to the smallest strictly positive coefficient."""
         pos = self.matrix[self.matrix > 0]
@@ -120,19 +121,6 @@ def _check_dims(pt: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(
             f"dimension mismatch: matrix {pt.shape} vs vector {x.shape}"
         )
-
-
-def smooth_max(pt: PackingSystem | np.ndarray, x: np.ndarray) -> float:
-    """Log-sum-exp over the rows of ``pt @ x``.
-
-    Bounded below by the exact row maximum and above by it plus ln m.
-    """
-    pt = _as_matrix(pt)
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(pt, x)
-    v = pt @ x
-    hi = v.max()
-    return float(hi + np.log(np.exp(v - hi).sum()))
 
 
 def violation(p: PackingSystem | np.ndarray, x: np.ndarray) -> float:

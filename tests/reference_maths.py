@@ -28,6 +28,14 @@ def smooth_max_and_rates(
     return float(hi + np.log(s)), (w @ pt) / s
 
 
+def smooth_max(pt: PackingSystem | np.ndarray, x: np.ndarray) -> float:
+    """Log-sum-exp over the rows of ``pt @ x``.
+
+    Bounded below by the exact row maximum and above by it plus ln m.
+    """
+    return smooth_max_and_rates(pt, x)[0]
+
+
 def rates(pt: PackingSystem | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Growth rate of ``smooth_max`` per variable: softmax-weighted column sums."""
     return smooth_max_and_rates(pt, x)[1]

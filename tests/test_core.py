@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mixpc import CoveringRow, PackingSystem, smooth_max, violation
+from mixpc import CoveringRow, PackingSystem, violation
 from mixpc.rng import rng_for
-from reference_maths import rates, step_size
+from reference_maths import rates, smooth_max, step_size
 
 
 def test_smooth_max_all_zero_exponents():
@@ -112,6 +112,22 @@ def test_packing_system_validation():
     sys_ = PackingSystem(np.array([[2.0, 0.0], [0.5, 1.0]]))
     assert sys_.d == 2
     assert sys_.rho == pytest.approx(4.0)
+
+
+def test_packing_system_d_and_rho_are_kept():
+    g = rng_for(17, "core-cache")
+    p = g.random((5, 9)) * (g.random((5, 9)) < 0.4)
+    p[0, 0] = 3.0
+    sys_ = PackingSystem(p)
+    d = int(np.count_nonzero(p, axis=1).max())
+    pos = p[p > 0]
+    rho = float(pos.max() / pos.min())
+    assert sys_.d == d
+    assert sys_.rho == rho  # the same formula, so the same bits
+    assert sys_.__dict__["d"] == d and sys_.__dict__["rho"] == rho
+    # a second read returns the kept values, even if the matrix moved since
+    sys_.matrix[:] = 1.0
+    assert sys_.d == d and sys_.rho == rho
 
 
 def test_covering_row_validation():

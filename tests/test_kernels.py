@@ -8,6 +8,12 @@ from the loops.  The ccfl kernel is itself a scalar loop over Python floats
 touches); it fuses passes and carries the potential from one phase to the
 next, so its floats too agree to roundoff.  Statuses, phase counts and
 flags agree exactly.
+
+The ompc kernel also carries its softmax from one phase to the next and
+keeps the row's variables in a local copy.  It runs the same numpy
+operations on the same operands as ``_ompc_row_phases_two_softmax``, the
+form that recomputes the softmax at each phase start and updates
+``x[idx]`` in place, so against that form it must agree bit for bit.
 """
 
 import math
@@ -76,6 +82,42 @@ def _ompc_row_phases_loop(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack
         if hi2 > max_tl:
             max_tl = hi2
         min_gap = min(min_gap, _E * eps - (est1 - est0))
+        dual_inc += _E * eps
+        phases += 1
+        if hi2 >= fail_level:
+            return FAILED, phases, dual_inc, max_tl, min_gap
+    return SATISFIED, phases, dual_inc, max_tl, min_gap
+
+
+def _ompc_row_phases_two_softmax(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
+    pcols = pt[:, idx]
+    phases = 0
+    dual_inc = 0.0
+    min_gap = math.inf
+    cover = float(val @ x[idx])
+    while cover < 1.0 - slack:
+        hi = pvx.max()
+        w = np.exp(pvx - hi)
+        s = w.sum()
+        est0 = hi + math.log(s)
+        ratio = ((w @ pcols) / s) / val
+        rmin = ratio.min()
+        upd = (mu - 1.0) * (rmin / ratio)
+        dx = x[idx] * upd
+        x[idx] += dx
+        pvx += pcols @ dx
+        cover += float(val @ dx)
+        eps = (mu - 1.0) * rmin
+        hi2 = pvx.max()
+        w2 = np.exp(pvx - hi2)
+        s2 = w2.sum()
+        est1 = hi2 + math.log(s2)
+        np.maximum(z, w2 / s2, out=z)
+        if hi2 > max_tl:
+            max_tl = hi2
+        gap = _E * eps - (est1 - est0)
+        if gap < min_gap:
+            min_gap = gap
         dual_inc += _E * eps
         phases += 1
         if hi2 >= fail_level:
@@ -271,6 +313,74 @@ def test_ompc_kernel_matches_loop():
         np.testing.assert_allclose(args_np[3], args_lp[3], rtol=1e-12)  # x
         np.testing.assert_allclose(args_np[5], args_lp[5], rtol=1e-12)  # z
         assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
+
+
+def _ompc_case(seed, gamma=1.0, idx=None, x0=0.01, n=7):
+    """Kernel arguments for one covering row; ``pt`` is the packing matrix
+    scaled by 1/gamma, as the solver passes it, and ``pvx`` is ``pt @ x``."""
+    g = rng_for(seed, "kernel-ompc-bits")
+    m = 4
+    pt = (g.random((m, n)) + 0.1) / gamma
+    if idx is None:
+        idx = np.sort(g.choice(n, size=3, replace=False)).astype(np.int64)
+    val = 0.5 + g.random(idx.size)
+    x = np.full(n, x0)
+    x[np.setdiff1d(np.arange(n), idx)] = 0.3 + g.random(n - idx.size)
+    pvx = pt @ x
+    z = g.random(m) * 0.1
+    mu = 1.0 + 1.0 / (3.0 * math.log(math.e * m))
+    fail = 3.0 * math.log(math.e * m)
+    return [pt, idx, val, x, pvx, z, 0.0, mu, fail, 1e-12]
+
+
+def _ompc_mid_fail(seed, **case):
+    """A fail level halfway up the largest scaled row's climb over a full
+    run: that row only grows, so a run against it fails part-way."""
+    done = _ompc_case(seed, **case)
+    start = done[4].max()
+    _kernels.ompc_row_phases(*done)
+    return 0.5 * (start + done[4].max())
+
+
+def test_ompc_kernel_matches_the_two_softmax_form_bit_for_bit():
+    for seed in range(5):
+        cases = (
+            {},
+            {"gamma": 4.0},
+            {"n": 12, "idx": np.array([1, 5, 6, 10])},  # non-contiguous
+            {"fail": _ompc_mid_fail(seed)},
+            {"gamma": 4.0, "n": 12, "idx": np.array([0, 7, 11]),
+             "fail": _ompc_mid_fail(seed, gamma=4.0, n=12, idx=np.array([0, 7, 11]))},
+            {"x0": 2.0},  # covered at entry
+        )
+        for case in cases:
+            fail = case.pop("fail", None)
+            got = _ompc_case(seed, **case)
+            want = _ompc_case(seed, **case)
+            if fail is not None:
+                got[8] = want[8] = fail
+            before = [np.copy(got[k]) for k in (3, 4, 5)]
+            out_got = _kernels.ompc_row_phases(*got)
+            out_want = _ompc_row_phases_two_softmax(*want)
+            assert out_got == out_want
+            for k in (3, 4, 5):  # x, pvx, z
+                assert got[k].tobytes() == want[k].tobytes()
+            idx, x = got[1], got[3]
+            rest = np.setdiff1d(np.arange(x.size), idx)
+            assert x[rest].tobytes() == before[0][rest].tobytes()
+            status, phases, _, _, min_gap = out_got
+            if "x0" in case:
+                assert out_got == (SATISFIED, 0, 0.0, 0.0, math.inf)
+                for k, b in zip((3, 4, 5), before):
+                    assert got[k].tobytes() == b.tobytes()
+            elif fail is not None:
+                assert status == FAILED and phases >= 1
+                assert float(got[2] @ x[idx]) < 1.0  # not yet covered
+                assert np.all(x[idx] > before[0][idx])  # its updates kept
+            else:
+                assert status == SATISFIED and phases > 1
+                assert float(got[2] @ x[idx]) >= 1.0 - 1e-12
+                assert min_gap < math.inf
 
 
 def _ccfl_inputs(
