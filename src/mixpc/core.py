@@ -27,7 +27,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PackingSystem:
-    """Offline packing constraints ``P x <= lambda``, coefficients >= 0."""
+    """Offline packing constraints ``P x <= lambda``, coefficients >= 0.
+
+    The matrix is taken as fixed once the system is built: ``d``, ``rho``,
+    ``column_nonzeros()`` and ``scaled(gamma)`` are computed from it once
+    and kept.  ``scaled`` keeps the matrix for the last ``gamma`` it was
+    asked for only, dropping the old one before it builds a new one, so at
+    most one scaled copy is held.  ``column_nonzeros()`` and ``scaled``
+    return read-only arrays.  Changing ``matrix`` in place after
+    construction leaves all of these stale.
+    """
 
     matrix: np.ndarray
 
@@ -62,13 +71,30 @@ class PackingSystem:
         pos = self.matrix[self.matrix > 0]
         return float(pos.max() / pos.min())
 
+    @cached_property
+    def _column_nonzeros(self) -> np.ndarray:
+        return _read_only(np.count_nonzero(self.matrix, axis=0))
+
+    @cached_property
+    def _scaled_memo(self) -> dict[float, np.ndarray]:
+        return {}
+
+    # Plain methods with the memo behind them, not cached properties:
+    # perfbench's tracer wraps both names as functions.
     def column_nonzeros(self) -> np.ndarray:
-        return np.count_nonzero(self.matrix, axis=0)
+        """Nonzeros per packing column (read-only, computed once)."""
+        return self._column_nonzeros
 
     def scaled(self, gamma: float) -> np.ndarray:
+        """``matrix / gamma`` (read-only), kept for the last ``gamma`` only."""
         if gamma <= 0:
             raise ValueError("scaling parameter must be positive")
-        return self.matrix / gamma
+        memo = self._scaled_memo
+        pt = memo.get(gamma)
+        if pt is None:
+            memo.clear()  # free the old matrix before allocating the new one
+            pt = memo[gamma] = _read_only(self.matrix / gamma)
+        return pt
 
 
 @dataclass(frozen=True)
@@ -110,6 +136,11 @@ class CoveringRow:
     def coverage(self, x: np.ndarray) -> float:
         """Value of the row at ``x``."""
         return float(self.values @ np.asarray(x, dtype=np.float64)[self.indices])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _as_matrix(p: PackingSystem | np.ndarray) -> np.ndarray:

@@ -143,17 +143,17 @@ def process_constraint(
     """
     if state.failed:
         raise RuntimeError("trial already failed; start a new trial")
-    if np.any(row.indices >= state.system.n):
+    # CoveringRow sorts its indices, so the last one is the largest
+    if row.indices[-1] >= state.system.n:
         raise ValueError("covering row references unknown variables")
     if row_id is None:
         row_id = len(state.rows_seen)
     state.rows_seen.append(row_id)
     state.duals_y.setdefault(row_id, 0.0)
 
-    col_nnz = state.system.column_nonzeros()
-    zero_cols = [t for t in range(row.nnz) if col_nnz[row.indices[t]] == 0]
-    if zero_cols and row.coverage(state.x) < 1.0 - SAT_SLACK:
-        t = zero_cols[0]
+    zero_cols = np.flatnonzero(state.system.column_nonzeros()[row.indices] == 0)
+    if zero_cols.size and row.coverage(state.x) < 1.0 - SAT_SLACK:
+        t = int(zero_cols[0])
         j = int(row.indices[t])
         state.x[j] = max(state.x[j], 1.0 / row.values[t])
         state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0)

@@ -130,6 +130,39 @@ def test_packing_system_d_and_rho_are_kept():
     assert sys_.d == d and sys_.rho == rho
 
 
+def test_scaled_matrix_is_kept_for_one_gamma():
+    g = rng_for(23, "core-scaled")
+    p = g.random((4, 7)) * (g.random((4, 7)) < 0.5)
+    p[0, 0] = 2.0
+    sys_ = PackingSystem(p)
+    a = sys_.scaled(0.3)
+    assert a.tobytes() == (sys_.matrix / 0.3).tobytes()
+    assert sys_.scaled(0.3) is a
+    b = sys_.scaled(0.6)
+    assert b is not a
+    assert b.tobytes() == (sys_.matrix / 0.6).tobytes()
+    assert list(sys_._scaled_memo) == [0.6]
+    assert sys_.scaled(0.6) is b
+    with pytest.raises(ValueError):
+        b[0, 0] = 1.0
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            sys_.scaled(bad)
+    assert list(sys_._scaled_memo) == [0.6]
+
+
+def test_column_nonzeros_is_kept_and_read_only():
+    g = rng_for(29, "core-colnnz")
+    p = g.random((5, 8)) * (g.random((5, 8)) < 0.4)
+    p[1, 2] = 1.0
+    sys_ = PackingSystem(p)
+    cnz = sys_.column_nonzeros()
+    assert np.array_equal(cnz, np.count_nonzero(sys_.matrix, axis=0))
+    assert sys_.column_nonzeros() is cnz
+    with pytest.raises(ValueError):
+        cnz[0] = 7
+
+
 def test_covering_row_validation():
     with pytest.raises(ValueError):
         CoveringRow(np.array([], dtype=int), np.array([]))

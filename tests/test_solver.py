@@ -171,6 +171,24 @@ def test_gamma_doubles_between_trials_and_failure_envelope():
     assert not sol.trials[-1].failed
 
 
+def test_kept_scaled_matrix_gives_the_same_solution():
+    # a stream that doubles gamma, solved twice on one system (the second
+    # solve starts with the last trial's matrix kept) and once on a fresh
+    # copy: every solve must give the same bits
+    inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
+    rows = list(inst.rows)
+    sols = [
+        solve_online(inst.system, rows),
+        solve_online(inst.system, rows),
+        solve_online(PackingSystem(inst.system.matrix.copy()), rows),
+    ]
+    assert len(sols[0].trials) >= 2
+    for sol in sols[1:]:
+        assert sol.x_total.tobytes() == sols[0].x_total.tobytes()
+        assert [r.gamma for r in sol.trials] == [r.gamma for r in sols[0].trials]
+        assert [r.phases for r in sol.trials] == [r.phases for r in sols[0].trials]
+
+
 def test_aggregate_lambda_bounded_by_trial_sum():
     inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
     sol = solve_online(inst.system, list(inst.rows))
@@ -236,6 +254,21 @@ def test_zero_packing_column_variable_set_directly():
     assert process_constraint(st, row, 1) is True
     assert row.coverage(st.x) >= 1.0 - 1e-12
     assert st.lambda_value() == pytest.approx(lam_before)  # no packing cost
+
+
+def test_lowest_zero_column_variable_raised_alone():
+    # variables 2 and 4 carry no packing weight and neither comes first in
+    # the row: only the lower one, 2, is raised, to 1 / c_2
+    system = PackingSystem(np.array([[1.0, 1.0, 0.0, 1.0, 0.0]]))
+    first = CoveringRow(np.array([0]), np.array([1.0]))
+    row = CoveringRow(np.array([4, 1, 2]), np.array([3.0, 1.0, 4.0]))
+    st = init_trial(system, 1.0, first)
+    before = st.x.copy()
+    assert process_constraint(st, row, 0) is True
+    assert st.phases_per_row[0] == 0
+    assert st.x[2] == 0.25
+    others = [0, 1, 3, 4]
+    assert st.x[others].tobytes() == before[others].tobytes()
 
 
 def test_random_01_instances_within_competitive_bound():
