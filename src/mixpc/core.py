@@ -105,21 +105,28 @@ class CoveringRow:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        val = np.asarray(self.values, dtype=np.float64).ravel()
+        # ``np.array`` copies, so the row owns C-contiguous arrays that
+        # later writes to the caller's inputs cannot reach.
+        idx = np.array(self.indices, dtype=np.int64).ravel()
+        val = np.array(self.values, dtype=np.float64).ravel()
         if idx.size == 0:
             raise ValueError("covering row must have at least one entry")
         if idx.size != val.size:
             raise ValueError("covering row indices/values length mismatch")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("covering row has duplicate column indices")
-        if np.any(idx < 0):
+        # Rows written by ``emit_instance`` are already strictly increasing
+        # and need no sort; otherwise sort, and a repeat shows as a pair of
+        # equal neighbours.
+        if not (idx[1:] > idx[:-1]).all():
+            order = np.argsort(idx)
+            idx, val = idx[order], val[order]
+            if not (idx[1:] > idx[:-1]).all():
+                raise ValueError("covering row has duplicate column indices")
+        if idx[0] < 0:
             raise ValueError("covering row indices must be nonnegative")
-        if not np.all(np.isfinite(val)) or np.any(val <= 0):
+        if not (val.min() > 0 and val.max() < np.inf):  # NaN fails the first
             raise ValueError("covering coefficients must be finite and positive")
-        order = np.argsort(idx)
-        object.__setattr__(self, "indices", np.ascontiguousarray(idx[order]))
-        object.__setattr__(self, "values", np.ascontiguousarray(val[order]))
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "values", val)
 
     @property
     def nnz(self) -> int:

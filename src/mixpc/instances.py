@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _MAGIC = "mixpc-instance v1"
+_UNKNOWN_VARIABLE = "covering row references unknown variable"
 
 
 class ParseError(ValueError):
@@ -47,9 +48,10 @@ class OmpcInstance:
         object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows:
             raise ValueError("need at least one covering row")
+        n = self.system.n
         for row in self.rows:
-            if np.any(row.indices >= self.system.n):
-                raise ValueError("covering row references unknown variable")
+            if row.indices[-1] >= n:  # CoveringRow sorts its indices
+                raise ValueError(_UNKNOWN_VARIABLE)
 
     @cached_property
     def d(self) -> int:
@@ -137,6 +139,46 @@ def _expect_int(lines: _Lines, key: str) -> int:
         raise ParseError(lines.lineno, f"bad integer in {line!r}") from None
 
 
+def _covering_row(line: str, lineno: int, n: int) -> CoveringRow:
+    """Line ``lineno``, ``j:c j:c ...``, as a row over variables ``0..n-1``.
+
+    A line with as many ``:`` as tokens, and a ``:`` in every token, has
+    one ``:`` per token, so its indices and values are converted in one
+    pass each with Python's ``int`` and ``float``.  Any other line, or one
+    that fails to convert, goes through the token loop, which names the
+    first bad token.
+    """
+    toks = line.split()
+    val = None
+    if line.count(":") == len(toks) and all(":" in t for t in toks):
+        flat = ":".join(toks).split(":")
+        try:
+            idx = list(map(int, flat[0::2]))
+            val = list(map(float, flat[1::2]))
+        except ValueError:
+            pass
+    if val is None:
+        idx, val = [], []
+        for tok in toks:
+            pieces = tok.split(":")
+            if len(pieces) != 2:
+                raise ParseError(lineno, f"expected 'j:c', got {tok!r}")
+            try:
+                idx.append(int(pieces[0]))
+                val.append(float(pieces[1]))
+            except ValueError:
+                raise ParseError(lineno, f"bad entry {tok!r}") from None
+    try:
+        row = CoveringRow(idx, val)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
+    except OverflowError:  # an index beyond int64 names no variable either
+        raise ParseError(lineno, _UNKNOWN_VARIABLE) from None
+    if row.indices[-1] >= n:
+        raise ParseError(lineno, _UNKNOWN_VARIABLE)
+    return row
+
+
 def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -169,20 +211,7 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
         rows = []
         for _ in range(n_rows):
             line = lines.next("covering row")
-            idx, val = [], []
-            for tok in line.split():
-                pieces = tok.split(":")
-                if len(pieces) != 2:
-                    raise ParseError(lines.lineno, f"expected 'j:c', got {tok!r}")
-                try:
-                    idx.append(int(pieces[0]))
-                    val.append(float(pieces[1]))
-                except ValueError:
-                    raise ParseError(lines.lineno, f"bad entry {tok!r}") from None
-            try:
-                rows.append(CoveringRow(np.array(idx), np.array(val)))
-            except ValueError as exc:
-                raise ParseError(lines.lineno, str(exc)) from None
+            rows.append(_covering_row(line, lines.lineno, n))
         if lines.next("end marker") != "end":
             raise ParseError(lines.lineno, "missing 'end'")
         try:

@@ -319,28 +319,31 @@ def brute_force_zstar(instance, max_m: int = 8, max_n: int = 12) -> float:
     client_order = sorted(
         range(n), key=lambda j: -max(d for _, d, _ in choices[j])
     )
-    suffix_min_assign = np.zeros(n + 1)
+    # The search runs on Python floats and lists: the same IEEE operations
+    # as on numpy scalars, without a numpy scalar read at every node.
+    suffix_min_assign = [0.0] * (n + 1)
     for pos in range(n - 1, -1, -1):
         j = client_order[pos]
         suffix_min_assign[pos] = suffix_min_assign[pos + 1] + min(
             a for _, _, a in choices[j]
         )
 
-    cfix = instance.fixed_charge
+    cfix = instance.fixed_charge.tolist()
     best = math.inf
-    loads = np.zeros(m)
-    open_mask = np.zeros(m, dtype=bool)
+    loads = [0.0] * m
+    open_mask = [False] * m
 
     def greedy() -> float:
-        lo = np.zeros(m)
-        om = np.zeros(m, dtype=bool)
+        lo = [0.0] * m
+        om = [False] * m
         fixed = assign = 0.0
         for pos in range(n):
             j = client_order[pos]
             cands = []
+            lmax = max(lo)
             for i, d, acost in choices[j]:
                 delta_fix = 0.0 if om[i] else cfix[i]
-                new_max = max(lo.max(), lo[i] + d)
+                new_max = max(lmax, lo[i] + d)
                 cands.append((delta_fix + acost + new_max, i, d, acost))
             _, i, d, acost = min(cands)
             if not om[i]:
@@ -348,7 +351,7 @@ def brute_force_zstar(instance, max_m: int = 8, max_n: int = 12) -> float:
                 fixed += cfix[i]
             lo[i] += d
             assign += acost
-        return fixed + assign + lo.max()
+        return fixed + assign + max(lo)
 
     best = greedy()
 
@@ -364,9 +367,10 @@ def brute_force_zstar(instance, max_m: int = 8, max_n: int = 12) -> float:
         for i, d, acost in choices[j]:
             opened = open_mask[i]
             dfix = 0.0 if opened else cfix[i]
-            loads[i] += d
+            li = loads[i] + d
+            loads[i] = li
             open_mask[i] = True
-            dfs(pos + 1, fixed + dfix, assign + acost, max(maxload, loads[i]))
+            dfs(pos + 1, fixed + dfix, assign + acost, maxload if maxload >= li else li)
             loads[i] -= d
             open_mask[i] = opened
 

@@ -175,6 +175,65 @@ def test_covering_row_validation():
     assert row.values.tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize(
+    "idx, val, message",
+    [
+        ([], [], "at least one entry"),
+        ([0, 1], [1.0], "length mismatch"),
+        ([0, 0], [1.0, 2.0], "duplicate"),
+        ([0, 2, 2], [1.0, 2.0, 3.0], "duplicate"),
+        ([2, 0, 2], [1.0, 2.0, 3.0], "duplicate"),
+        ([-1, 2], [1.0, 2.0], "nonnegative"),
+        ([2, -1], [1.0, 2.0], "nonnegative"),
+        ([-1, -1], [1.0, 2.0], "duplicate"),  # duplicates are checked first
+        ([0, 1], [1.0, 0.0], "finite and positive"),
+        ([1, 0], [1.0, -2.0], "finite and positive"),
+        ([0, 1], [np.nan, 1.0], "finite and positive"),
+        ([1, 0], [1.0, np.nan], "finite and positive"),
+        ([0, 1], [1.0, np.inf], "finite and positive"),
+        ([1, 0], [-np.inf, 1.0], "finite and positive"),
+    ],
+)
+def test_covering_row_errors_on_sorted_and_unsorted_input(idx, val, message):
+    with pytest.raises(ValueError, match=message):
+        CoveringRow(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))
+
+
+def test_covering_row_sorts_values_with_their_indices():
+    row = CoveringRow([4, 0, 2], [0.5, 3.0, 1.5])
+    assert row.indices.tolist() == [0, 2, 4]
+    assert row.values.tolist() == [3.0, 1.5, 0.5]
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 5], [5, 0, 2]])
+def test_covering_row_owns_its_arrays(idx):
+    src_idx = np.array(idx)
+    src_val = np.array([1.0, 2.0, 3.0])
+    row = CoveringRow(src_idx, src_val)
+    before = (row.indices.copy(), row.values.copy())
+    src_idx[:] = 7
+    src_val[:] = -1.0
+    assert np.array_equal(row.indices, before[0])
+    assert np.array_equal(row.values, before[1])
+
+
+@pytest.mark.parametrize(
+    "idx, val",
+    [
+        ([3, 1, 2], [1.0, 2.0, 3.0]),  # lists
+        (np.array([1, 2, 3], dtype=np.int32), np.array([1, 2, 3], dtype=np.float32)),
+        (np.arange(8)[::3], np.linspace(1.0, 2.0, 9)[::3]),  # strided views
+        (np.array([[1, 4]]).T, np.asfortranarray([[1.0], [2.0]])),  # 2-d
+    ],
+)
+def test_covering_row_stores_contiguous_int64_and_float64(idx, val):
+    row = CoveringRow(idx, val)
+    assert row.indices.dtype == np.int64 and row.values.dtype == np.float64
+    assert row.indices.ndim == 1 and row.values.ndim == 1
+    assert row.indices.flags.c_contiguous and row.values.flags.c_contiguous
+    assert np.array_equal(row.indices, np.sort(np.ravel(idx)))
+
+
 # -- appendix-style inequalities, exercised at modest volume here (the
 #    full 1e4-trial sweeps live in the acceptance suite) -------------------
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixpc import (
     CcflInstance,
+    CoveringRow,
     OmpcInstance,
+    PackingSystem,
     ParseError,
     emit_instance,
     gen_random_ccfl,
@@ -155,3 +159,91 @@ def test_instance_statistics_are_cached_and_equal_their_formulas():
             spreads.append(float(cost.max() / cost.min()))
         assert cc.rho == max(spreads)
         assert "rho" in vars(cc)
+
+
+# -- covering-row parsing ----------------------------------------------------
+
+# Lines 1-7 are the header; the covering rows start at line 8.
+_OMPC_HEAD = "mixpc-instance v1\nkind ompc\nm 1\nn {n}\npacking 1\n0 0 1.0\ncovering {rows}\n"
+
+
+def _ompc_doc(rows: list[str], n: int = 3) -> str:
+    return _OMPC_HEAD.format(n=n, rows=len(rows)) + "\n".join(rows) + "\nend\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1:2:3 4", "expected 'j:c', got '1:2:3'"),
+        ("1:2 3 :4", "expected 'j:c', got '3'"),  # one ':' per token, not per line
+        ("0:1.0 # c", "expected 'j:c', got '#'"),
+        ("1:", "bad entry '1:'"),
+        (":2", "bad entry ':2'"),
+        ("a:1.0", "bad entry 'a:1.0'"),
+        ("1:x", "bad entry '1:x'"),
+        ("0:1.0 a:1 2", "bad entry 'a:1'"),  # the first bad token is named
+        ("0:1.0 2:1.0 0:2.0", "covering row has duplicate column indices"),
+        ("-1:1.0", "covering row indices must be nonnegative"),
+        ("1:nan", "covering coefficients must be finite and positive"),
+        ("1:0", "covering coefficients must be finite and positive"),
+        ("1:inf", "covering coefficients must be finite and positive"),
+        ("3:1.0", "covering row references unknown variable"),
+        ("0:1.0 9223372036854775808:1.0", "covering row references unknown variable"),
+    ],
+)
+def test_bad_covering_row_names_its_own_line(row, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_ompc_doc(["0:1.0", row, "1:2.0 2:0.5"]))
+    assert err.value.lineno == 9
+    assert str(err.value) == f"line 9: {message}"
+
+
+def test_instance_rejects_a_row_beyond_n():
+    system = PackingSystem(np.ones((1, 3)))
+    OmpcInstance(system, (CoveringRow([2, 0], [1.0, 1.0]),))
+    with pytest.raises(ValueError, match="unknown variable"):
+        OmpcInstance(system, (CoveringRow([3, 0], [1.0, 1.0]),))
+
+
+def test_covering_row_keeps_python_number_grammar():
+    inst = parse_instance(_ompc_doc(["+1:1_0.5 0_2:2e0"]))
+    assert inst.rows[0].indices.tolist() == [1, 2]
+    assert inst.rows[0].values.tolist() == [10.5, 2.0]
+
+
+def test_covering_row_sorts_unsorted_input():
+    inst = parse_instance(_ompc_doc(["2:0.25 0:4.0\t1:1.5"]))
+    assert inst.rows[0].indices.tolist() == [0, 1, 2]
+    assert inst.rows[0].values.tolist() == [4.0, 1.5, 0.25]
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _small_ompc(draw) -> OmpcInstance:
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.none() | _positive, min_size=m * n, max_size=m * n))
+    if all(c is None for c in cells):
+        cells[draw(st.integers(0, m * n - 1))] = draw(_positive)
+    matrix = np.array([0.0 if c is None else c for c in cells]).reshape(m, n)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        idx = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        val = draw(st.lists(_positive, min_size=len(idx), max_size=len(idx)))
+        rows.append(CoveringRow(np.array(idx), np.array(val)))
+    return OmpcInstance(PackingSystem(matrix), tuple(rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_small_ompc())
+def test_ompc_text_round_trip_is_exact(inst):
+    text = emit_instance(inst)
+    back = parse_instance(text)
+    assert emit_instance(back) == text
+    assert back.system.matrix.tobytes() == inst.system.matrix.tobytes()
+    assert len(back.rows) == len(inst.rows)
+    for a, b in zip(back.rows, inst.rows):
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()

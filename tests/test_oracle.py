@@ -317,6 +317,21 @@ def test_brute_force_single_effective_facility():
     assert brute_force_zstar(inst) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "seed, m, n, zstar_hex",
+    [
+        (11, 3, 6, "0x1.b704e13998657p+3"),
+        (12, 4, 8, "0x1.117528c254d4cp+4"),
+        (13, 4, 10, "0x1.15cd694d4fee7p+4"),
+        (14, 4, 10, "0x1.42c613e9290a8p+4"),
+    ],
+)
+def test_brute_force_values_are_pinned(seed, m, n, zstar_hex):
+    # Pinned from the search on numpy scalars; the search on Python floats
+    # makes the same IEEE operations in the same order.
+    assert brute_force_zstar(gen_random_ccfl(m, n, seed=seed)).hex() == zstar_hex
+
+
 def test_brute_force_size_guard():
     inst = gen_random_ccfl(3, 4, seed=1)
     with pytest.raises(ValueError):
