@@ -105,10 +105,8 @@ class CoveringRow:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        # ``np.array`` copies, so the row owns C-contiguous arrays that
-        # later writes to the caller's inputs cannot reach.
-        idx = np.array(self.indices, dtype=np.int64).ravel()
-        val = np.array(self.values, dtype=np.float64).ravel()
+        idx = _owned_vector(self.indices, np.int64)
+        val = _owned_vector(self.values, np.float64)
         if idx.size == 0:
             raise ValueError("covering row must have at least one entry")
         if idx.size != val.size:
@@ -143,6 +141,16 @@ class CoveringRow:
     def coverage(self, x: np.ndarray) -> float:
         """Value of the row at ``x``."""
         return float(self.values @ np.asarray(x, dtype=np.float64)[self.indices])
+
+
+def _owned_vector(a, dtype) -> np.ndarray:
+    """A 1-d C-contiguous copy of ``a`` that holds its own buffer.
+
+    Later writes to ``a`` cannot reach it, and it is not a view: a view
+    would keep a second array object alive per row.
+    """
+    v = np.array(a, dtype=dtype, ndmin=1)
+    return v if v.ndim == 1 and v.base is None else v.flatten()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -199,12 +199,6 @@ def test_covering_row_errors_on_sorted_and_unsorted_input(idx, val, message):
         CoveringRow(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64))
 
 
-def test_covering_row_sorts_values_with_their_indices():
-    row = CoveringRow([4, 0, 2], [0.5, 3.0, 1.5])
-    assert row.indices.tolist() == [0, 2, 4]
-    assert row.values.tolist() == [3.0, 1.5, 0.5]
-
-
 @pytest.mark.parametrize("idx", [[0, 2, 5], [5, 0, 2]])
 def test_covering_row_owns_its_arrays(idx):
     src_idx = np.array(idx)
@@ -224,6 +218,7 @@ def test_covering_row_owns_its_arrays(idx):
         (np.array([1, 2, 3], dtype=np.int32), np.array([1, 2, 3], dtype=np.float32)),
         (np.arange(8)[::3], np.linspace(1.0, 2.0, 9)[::3]),  # strided views
         (np.array([[1, 4]]).T, np.asfortranarray([[1.0], [2.0]])),  # 2-d
+        (np.int64(3), 2.5),  # scalars
     ],
 )
 def test_covering_row_stores_contiguous_int64_and_float64(idx, val):
@@ -231,6 +226,8 @@ def test_covering_row_stores_contiguous_int64_and_float64(idx, val):
     assert row.indices.dtype == np.int64 and row.values.dtype == np.float64
     assert row.indices.ndim == 1 and row.values.ndim == 1
     assert row.indices.flags.c_contiguous and row.values.flags.c_contiguous
+    # no views: each stored array holds its own buffer
+    assert row.indices.base is None and row.values.base is None
     assert np.array_equal(row.indices, np.sort(np.ravel(idx)))
 
 

@@ -164,7 +164,9 @@ def test_instance_statistics_are_cached_and_equal_their_formulas():
 # -- covering-row parsing ----------------------------------------------------
 
 # Lines 1-7 are the header; the covering rows start at line 8.
-_OMPC_HEAD = "mixpc-instance v1\nkind ompc\nm 1\nn {n}\npacking 1\n0 0 1.0\ncovering {rows}\n"
+_OMPC_HEAD = (
+    "mixpc-instance v1\nkind ompc\nm 1\nn {n}\npacking 1\n0 0 1.0\ncovering {rows}\n"
+)
 
 
 def _ompc_doc(rows: list[str], n: int = 3) -> str:
@@ -205,16 +207,12 @@ def test_instance_rejects_a_row_beyond_n():
         OmpcInstance(system, (CoveringRow([3, 0], [1.0, 1.0]),))
 
 
-def test_covering_row_keeps_python_number_grammar():
-    inst = parse_instance(_ompc_doc(["+1:1_0.5 0_2:2e0"]))
+def test_covering_row_keeps_python_number_grammar_and_sorts():
+    inst = parse_instance(_ompc_doc(["+1:1_0.5 0_2:2e0", "2:0.25 0:4.0\t1:1.5"]))
     assert inst.rows[0].indices.tolist() == [1, 2]
     assert inst.rows[0].values.tolist() == [10.5, 2.0]
-
-
-def test_covering_row_sorts_unsorted_input():
-    inst = parse_instance(_ompc_doc(["2:0.25 0:4.0\t1:1.5"]))
-    assert inst.rows[0].indices.tolist() == [0, 1, 2]
-    assert inst.rows[0].values.tolist() == [4.0, 1.5, 0.25]
+    assert inst.rows[1].indices.tolist() == [0, 1, 2]
+    assert inst.rows[1].values.tolist() == [4.0, 1.5, 0.25]
 
 
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
