@@ -144,18 +144,20 @@ def _covering_row(line: str, lineno: int, n: int) -> CoveringRow:
 
     A line with as many ``:`` as tokens, and a ``:`` in every token, has
     one ``:`` per token, so its indices and values are converted in one
-    pass each with Python's ``int`` and ``float``.  Any other line, or one
-    that fails to convert, goes through the token loop, which names the
-    first bad token.
+    call each.  ``np.array`` on a list of ``str`` converts each element
+    with Python's ``int`` or ``float`` (not numpy's string cast), so the
+    grammar is Python's: ``+1``, ``1_0`` and ``1_0.5`` parse.  Any other
+    line, or one that fails to convert, goes through the token loop,
+    which names the first bad token.
     """
     toks = line.split()
     val = None
     if line.count(":") == len(toks) and all(":" in t for t in toks):
         flat = ":".join(toks).split(":")
         try:
-            idx = list(map(int, flat[0::2]))
-            val = list(map(float, flat[1::2]))
-        except ValueError:
+            idx = np.array(flat[0::2], dtype=np.int64)
+            val = np.array(flat[1::2], dtype=np.float64)
+        except (ValueError, OverflowError):
             pass
     if val is None:
         idx, val = [], []

@@ -184,6 +184,10 @@ def _ompc_doc(rows: list[str], n: int = 3) -> str:
         ("a:1.0", "bad entry 'a:1.0'"),
         ("1:x", "bad entry '1:x'"),
         ("0:1.0 a:1 2", "bad entry 'a:1'"),  # the first bad token is named
+        ("1__0:1.0", "bad entry '1__0:1.0'"),  # Python's int grammar
+        ("0x1:1.0", "bad entry '0x1:1.0'"),
+        ("1:1__0", "bad entry '1:1__0'"),  # Python's float grammar
+        ("1:0x1p3", "bad entry '1:0x1p3'"),
         ("0:1.0 2:1.0 0:2.0", "covering row has duplicate column indices"),
         ("-1:1.0", "covering row indices must be nonnegative"),
         ("1:nan", "covering coefficients must be finite and positive"),
@@ -208,9 +212,17 @@ def test_instance_rejects_a_row_beyond_n():
 
 
 def test_covering_row_keeps_python_number_grammar_and_sorts():
-    inst = parse_instance(_ompc_doc(["+1:1_0.5 0_2:2e0", "2:0.25 0:4.0\t1:1.5"]))
-    assert inst.rows[0].indices.tolist() == [1, 2]
-    assert inst.rows[0].values.tolist() == [10.5, 2.0]
+    tokens = [
+        ("+1", "1_0.5"),
+        ("0_2", "+.5e-3"),
+        ("\u0661\u0662", "\u0662.\u0665"),  # Arabic-Indic digits
+        ("\uff10", "1E2"),  # a full-width zero
+    ]
+    line = " ".join(f"{j}:{c}" for j, c in tokens)
+    inst = parse_instance(_ompc_doc([line, "2:0.25 0:4.0\t1:1.5"], n=20))
+    expected = sorted((int(j), float(c)) for j, c in tokens)
+    assert inst.rows[0].indices.tolist() == [j for j, _ in expected] == [0, 1, 2, 12]
+    assert inst.rows[0].values.tolist() == [c for _, c in expected]
     assert inst.rows[1].indices.tolist() == [0, 1, 2]
     assert inst.rows[1].values.tolist() == [4.0, 1.5, 0.25]
 
