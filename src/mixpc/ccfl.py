@@ -111,7 +111,7 @@ class CcflInstance:
         object.__setattr__(self, "capacity", np.ascontiguousarray(u))
         object.__setattr__(self, "clients", tuple(self.clients))
         for j, cl in enumerate(self.clients):
-            if np.any(cl.facilities >= c.size):
+            if cl.facilities[0] < 0 or cl.facilities[-1] >= c.size:  # sorted
                 raise ValueError("client references unknown facility")
             # init_client scales each entry by the least entry cost, which
             # is 0/0 for an entry of cost 0
@@ -151,10 +151,6 @@ class CcflInstance:
     @property
     def sigma(self) -> float:
         return 4.0 * _E**2 * math.log(2.0 * self.mu * self.m * self.n * self.rho)
-
-    def candidates(self, j: int, z_value: float) -> np.ndarray:
-        cl = self.clients[j]
-        return cl.facilities[self.entry_cost(j) <= z_value]
 
     def min_entry_cost(self, j: int) -> float:
         return float(self.entry_cost(j).min())
@@ -197,11 +193,9 @@ class CcflTrialState:
     chi: np.ndarray  # (m, n) running softmax maxima, assignment term
     eta: np.ndarray  # (m,) running softmax maxima, congestion term
     alpha: np.ndarray  # (n,) dual per client
-    z_prev: np.ndarray  # (m,) rowmax at client end, entry value first; 0 untouched
     z_ratio_log: dict[tuple[int, int], float] = field(default_factory=dict)
     max_scaled_violation: float = 0.0
     failed: bool = False
-    initialized: dict[int, np.ndarray] = field(default_factory=dict)  # j -> F_j
     phases_per_client: dict[int, int] = field(default_factory=dict)
     min_pd_gap: float = math.inf  # least per-phase dual minus cost increase
 
@@ -223,7 +217,6 @@ def new_trial(instance: CcflInstance, z_value: float, gamma: float) -> CcflTrial
         chi=np.zeros((m, n)),
         eta=np.zeros(m),
         alpha=np.zeros(n),
-        z_prev=np.zeros(m),
     )
 
 
@@ -249,48 +242,41 @@ def openness(instance: CcflInstance, x: np.ndarray, z_value: float) -> np.ndarra
     return (instance.dense_demand() * x).sum(axis=1) / z_value + x.max(axis=1)
 
 
-def scaled_violation(state: CcflTrialState) -> float:
-    """Current scaled worst facility value max_i (v_i + w_i)."""
-    zz, g = state.z_value, state.gamma
-    return float((state.load / (zz * g) + state.rowmax / g).max())
-
-
-def init_client(state: CcflTrialState, j: int) -> None:
+def init_client(
+    state: CcflTrialState, j: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set the arriving client's variables to their entry values.
 
     Every candidate facility starts at ``min-entry-cost / (2 m n entry_cost)``
-    and the row maxima are raised to meet it.
+    and the row maxima are raised to meet it.  Returns the candidates, the
+    mask that picks them from the client's facilities, and each candidate's
+    maximum before the client (its entry value on a row still empty).
     """
-    if j in state.initialized:
-        raise ValueError(f"client {j} already initialized in this trial")
+    if state.x[:, j].any():
+        raise ValueError(f"client {j} already entered this trial")
     inst = state.instance
     cl = inst.clients[j]
     ec = inst.entry_cost(j)
     keep = ec <= state.z_value
-    fj = cl.facilities[keep]
-    if fj.size == 0:
+    fac = cl.facilities[keep]
+    if fac.size == 0:
         raise CcflInfeasible(j, state.z_value)
     ec_f = ec[keep]
     x0 = (ec_f.min() / ec_f) / (2.0 * inst.m * inst.n)
-    state.x[fj, j] = x0
-    state.rowmax[fj] = np.maximum(state.rowmax[fj], x0)
-    zp = state.z_prev[fj]
-    state.z_prev[fj] = np.where(zp > 0, zp, x0)
-    state.load[fj] += cl.demand[keep] * x0
-    state.initialized[j] = fj
-    state.max_scaled_violation = max(state.max_scaled_violation, scaled_violation(state))
+    state.x[fac, j] = x0
+    top = state.rowmax[fac]
+    state.rowmax[fac] = np.maximum(top, x0)
+    state.load[fac] += cl.demand[keep] * x0
+    return fac, keep, np.where(top > 0, top, x0)
 
 
 def assign_fractional(state: CcflTrialState, j: int) -> bool:
-    """Phase loop for client j; returns False when the trial failed."""
+    """Enter client j and run its phase loop; returns False when the trial failed."""
     if state.failed:
         raise RuntimeError("trial already failed; start a new trial")
-    if j not in state.initialized:
-        raise ValueError(f"client {j} not initialized")
+    fac, keep, z_before = init_client(state, j)
     inst = state.instance
     cl = inst.clients[j]
-    keep = inst.entry_cost(j) <= state.z_value
-    fac = state.initialized[j]
     p, a = cl.demand[keep], cl.assign_cost[keep]
     x_j = state.x[fac, j]
     at_max = x_j == state.rowmax[fac]
@@ -302,6 +288,7 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
     dense_a = inst.dense_assign_cost()
     asum_rest = float((dense_a * state.x).sum() - a @ x_j)
 
+    # max_tl counts the scaled violation right after entry too
     status, phases, alpha_inc, max_tl, min_gap = _kernels.ccfl_client_phases(
         fac,
         p,
@@ -321,18 +308,15 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
         state.fail_level,
     )
     state.alpha[j] += alpha_inc
-    state.phases_per_client[j] = state.phases_per_client.get(j, 0) + phases
+    state.phases_per_client[j] = phases
     state.max_scaled_violation = max(state.max_scaled_violation, float(max_tl))
     state.min_pd_gap = min(state.min_pd_gap, float(min_gap))
 
     state.x[fac, j] = x_j
     state.chi[fac, j] = chi_j
-    # per-facility running assignment maxima, checkpointed at client end
-    zprev = state.z_prev[fac]
-    zcur = np.maximum(zprev, x_j)
-    for t, i in enumerate(fac.tolist()):
-        state.z_ratio_log[(i, j)] = math.log(zcur[t] / zprev[t])
-    state.z_prev[fac] = zcur
+    # z_i(j) / z_i(j-1): each candidate's row maximum over the one before j
+    for i, ratio in zip(fac.tolist(), (state.rowmax[fac] / z_before).tolist()):
+        state.z_ratio_log[(i, j)] = math.log(ratio)
     if status == _kernels.FAILED:
         state.failed = True
         return False
@@ -410,11 +394,7 @@ class CcflFractionalSolver:
         self.state = new_trial(instance, z_value, gamma=1.0)
 
     def offer(self, j: int) -> None:
-        while True:
-            if j not in self.state.initialized:
-                init_client(self.state, j)
-            if assign_fractional(self.state, j):
-                return
+        while not assign_fractional(self.state, j):
             self._retire()
             self.state = new_trial(
                 self.instance, self.z_value, gamma=self._records[-1].gamma * 2.0
@@ -427,7 +407,7 @@ class CcflFractionalSolver:
         self._cost_closed += st.gamma * ccfl_cost(st)
 
     def finish(self) -> "CcflFractionalSolution":
-        if self.state.initialized:
+        if self.state.phases_per_client:
             gamma = self.state.gamma
             self._retire()
             self.state = new_trial(self.instance, self.z_value, gamma)
@@ -457,7 +437,7 @@ class CcflFractionalSolver:
     @property
     def trials(self) -> tuple[CcflTrialState, ...]:
         return tuple(self._records) + (
-            (self.state,) if self.state.initialized else ()
+            (self.state,) if self.state.phases_per_client else ()
         )
 
 

@@ -14,7 +14,7 @@ import sys
 from .adversary import RESPONDERS, optimal_witness, tree_adversary
 from .ccfl import CcflInstance
 from .core import violation
-from .instances import OmpcInstance, ParseError, emit_instance, parse_instance
+from .instances import OmpcInstance, emit_instance, parse_instance
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
 from .rounding import epoch_budget, z_epochs
 from .runner import (
@@ -238,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, SystemExit) as exc:
+    except (ValueError, SystemExit) as exc:  # ParseError is a ValueError
         if isinstance(exc, SystemExit):
             if isinstance(exc.code, int):
                 return exc.code

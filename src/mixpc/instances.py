@@ -7,6 +7,7 @@ round-trips float64 exactly, so emit -> parse -> emit is byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -197,6 +198,7 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
     if kind == "ompc":
         nnz = _expect_int(lines, "packing")
         matrix = np.zeros((m, n))
+        seen: set[tuple[int, int]] = set()
         for _ in range(nnz):
             line = lines.next("packing triplet")
             parts = line.split()
@@ -208,6 +210,16 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
                 raise ParseError(lines.lineno, f"bad triplet {line!r}") from None
             if not (0 <= k < m and 0 <= j < n):
                 raise ParseError(lines.lineno, f"triplet out of range: {line!r}")
+            # PackingSystem's checks, in its order, on the entry's own line
+            if not math.isfinite(v):
+                raise ParseError(lines.lineno, "packing coefficients must be finite")
+            if v < 0:
+                raise ParseError(
+                    lines.lineno, "packing coefficients must be nonnegative"
+                )
+            if (k, j) in seen:
+                raise ParseError(lines.lineno, "duplicate packing entry")
+            seen.add((k, j))
             matrix[k, j] = v
         n_rows = _expect_int(lines, "covering")
         rows = []
@@ -232,9 +244,17 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
         if len(parts) != 2:
             raise ParseError(lines.lineno, f"expected 'c u', got {line!r}")
         try:
-            charges[i], caps[i] = float(parts[0]), float(parts[1])
+            c, u = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(lines.lineno, f"bad facility line {line!r}") from None
+        # CcflInstance's checks, in its order, on the facility's own line
+        if c < 0 or u <= 0:
+            raise ParseError(
+                lines.lineno, "fixed charges must be >= 0 and capacities > 0"
+            )
+        if not (math.isfinite(c) and math.isfinite(u)):
+            raise ParseError(lines.lineno, "facility parameters must be finite")
+        charges[i], caps[i] = c, u
     count = _expect_int(lines, "clients")
     if count != n:
         raise ParseError(lines.lineno, f"clients count {count} != n {n}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .ccfl import CcflFractionalSolver, CcflInstance
+from .ccfl import CcflFractionalSolver, CcflInstance, openness
 from .rng import restart, rng_for
 
 __all__ = [
@@ -51,10 +51,8 @@ def rounds_for(n: int) -> int:
 class RoundingState:
     """Per-epoch rounding bookkeeping (thresholds drawn up front)."""
 
-    r: int
     tbar: np.ndarray  # per-facility minimum of r uniforms
     open_mask: np.ndarray
-    cand_congestion: np.ndarray
     loads: np.ndarray
     opened_cost: float = 0.0
     assign_cost: float = 0.0
@@ -62,13 +60,10 @@ class RoundingState:
 
 
 def new_rounding_state(m: int, n: int, rng: np.random.Generator) -> RoundingState:
-    r = rounds_for(n)
-    tdraw = rng.random((m, r))
+    tdraw = rng.random((m, rounds_for(n)))
     return RoundingState(
-        r=r,
         tbar=tdraw.min(axis=1),
         open_mask=np.zeros(m, dtype=bool),
-        cand_congestion=np.zeros(m),
         loads=np.zeros(m),
     )
 
@@ -103,10 +98,7 @@ def round_client(
         raise RuntimeError(f"client {j} has no heavy facility; was sum x >= 1?")
     u = rng.random(m)
     prob = np.where(heavy, np.minimum(1.0, x_cl / np.maximum(y, 1e-300)), 0.0)
-    cand = u < prob
-    state.cand_congestion[cand] += demand_j[cand]
-
-    open_cand = np.nonzero(cand & state.open_mask)[0]
+    open_cand = np.nonzero((u < prob) & state.open_mask)[0]
     if open_cand.size:
         chosen = int(open_cand[0])
     else:
@@ -198,17 +190,18 @@ def z_epochs(
         failed = False
         reason = ""
         while j < n:
-            if instance.candidates(j, z_value).size == 0:
+            if instance.min_entry_cost(j) > z_value:  # no candidate facility
                 failed = True
                 reason = "no-candidate"
                 break
             solver.offer(j)
+            x = solver.x_aggregate
             chosen = round_client(
                 step_rng,
                 rstate,
                 j,
-                solver.x_aggregate[:, j],
-                solver.y_aggregate,
+                x[:, j],
+                openness(instance, x, z_value),
                 dense_p[:, j],
                 dense_a[:, j],
                 instance.fixed_charge,

@@ -86,13 +86,13 @@ class TieTracker:
     Per facility, the set of clients tied at the maximum, updated at
     ``init_client`` and after the phase kernel; and the running maximum at
     client end as a dict, first set to the entry value.  A trial reads the
-    first as ``x_j == rowmax[fac]`` and keeps the second as its ``z_prev``
-    array.
+    first as ``x_j == rowmax[fac]`` and holds the second in ``rowmax``
+    itself.
     """
 
     def __init__(self, m: int):
         self.ties: list[set[int]] = [set() for _ in range(m)]
-        self.z_prev: dict[int, float] = {}
+        self.rowmax: dict[int, float] = {}
         self.z_ratio_log: dict[tuple[int, int], float] = {}
 
     def init_client(self, j: int, fac, x0, rowmax_before) -> None:
@@ -101,8 +101,8 @@ class TieTracker:
                 self.ties[i] = {j}
             elif v == top:
                 self.ties[i].add(j)
-            if i not in self.z_prev:
-                self.z_prev[i] = v
+            if i not in self.rowmax:
+                self.rowmax[i] = v
 
     def at_max(self, j: int, fac) -> np.ndarray:
         return np.array([j in self.ties[i] for i in fac.tolist()], dtype=np.bool_)
@@ -117,6 +117,6 @@ class TieTracker:
                 else:
                     self.ties[i].add(j)
         for t, i in enumerate(fac.tolist()):
-            zcur = max(self.z_prev[i], float(x_j[t]))
-            self.z_ratio_log[(i, j)] = math.log(zcur / self.z_prev[i])
-            self.z_prev[i] = zcur
+            zcur = max(self.rowmax[i], float(x_j[t]))
+            self.z_ratio_log[(i, j)] = math.log(zcur / self.rowmax[i])
+            self.rowmax[i] = zcur

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +19,6 @@ from mixpc import (
 )
 from mixpc import _kernels, ccfl
 from mixpc.ccfl import CcflClient, CcflFractionalSolver, new_trial
-from mixpc.rng import rng_for
 from reference_maths import TieTracker, ccfl_rates
 
 E = math.e
@@ -49,11 +50,22 @@ def reference_cost(instance: CcflInstance, z: float, gamma: float, x: np.ndarray
     return z * (term1 + term2) + float(c @ y_tilde) + float((a * x).sum()) / gamma
 
 
+def entered(st, j: int):
+    """A copy of trial ``st`` with client j at its entry values; ``st`` is
+    left as it was."""
+    probe = copy.deepcopy(st, {id(st.instance): st.instance})
+    init_client(probe, j)
+    return probe
+
+
 def test_candidate_filter():
+    # a client enters exactly the facilities with c + p + a <= Z
     inst = uniform_instance(m=3, n=2)
-    assert inst.candidates(0, 3.0).tolist() == [0, 1, 2]
-    assert inst.candidates(0, 2.9).tolist() == []
-    g = rng_for(41, "ccfl-cand")
+    fac, keep, _ = init_client(new_trial(inst, 3.0, 1.0), 0)
+    assert fac.tolist() == [0, 1, 2]
+    assert keep.all()
+    with pytest.raises(CcflInfeasible):
+        init_client(new_trial(inst, 2.9, 1.0), 0)
     inst2 = gen_random_ccfl(5, 4, seed=9)
     for j in range(4):
         for z in (2.0, 4.0, 7.0):
@@ -62,15 +74,25 @@ def test_candidate_filter():
                 for t, i in enumerate(inst2.clients[j].facilities)
                 if inst2.entry_cost(j)[t] <= z
             ]
-            assert inst2.candidates(j, z).tolist() == brute
+            st = new_trial(inst2, z, 1.0)
+            if not brute:
+                with pytest.raises(CcflInfeasible):
+                    init_client(st, j)
+                continue
+            fac, keep, _ = init_client(st, j)
+            assert fac.tolist() == brute
+            assert inst2.clients[j].facilities[keep].tolist() == brute
+            assert np.nonzero(st.x[:, j])[0].tolist() == brute
 
 
 def test_init_client_uniform_eighth():
     inst = uniform_instance()
     st = new_trial(inst, z_value=4.0, gamma=1.0)
-    init_client(st, 0)
+    fac, keep, before = init_client(st, 0)
     assert st.x[:, 0] == pytest.approx([0.125, 0.125], abs=1e-15)
     assert st.x[:, 1].tolist() == [0.0, 0.0]
+    # on empty rows the maximum before the client is its own entry value
+    assert before.tolist() == st.x[fac, 0].tolist() == st.rowmax.tolist()
 
 
 def test_init_client_ratio_structure():
@@ -93,9 +115,7 @@ def test_init_cost_at_most_z_over_n():
         z = 2.0 * brute_force_zstar(inst)
         st = new_trial(inst, z_value=z, gamma=1.0)
         for j in range(inst.n):
-            before = ccfl_cost(st)
-            init_client(st, j)
-            assert ccfl_cost(st) - before <= z / inst.n + 1e-9
+            assert ccfl_cost(entered(st, j)) - ccfl_cost(st) <= z / inst.n + 1e-9
             assign_fractional(st, j)
 
 
@@ -110,7 +130,6 @@ def test_cost_matches_reference_along_a_run():
     z = 2.0 * brute_force_zstar(inst)
     st = new_trial(inst, z_value=z, gamma=1.0)
     for j in range(inst.n):
-        init_client(st, j)
         assign_fractional(st, j)
         assert ccfl_cost(st) == pytest.approx(
             reference_cost(inst, z, 1.0, st.x), rel=1e-9
@@ -129,11 +148,9 @@ def test_rates_match_central_difference_of_reference():
     inst = gen_random_ccfl(3, 3, seed=21)
     z = 2.0 * brute_force_zstar(inst)
     st = new_trial(inst, z_value=z, gamma=1.0)
-    init_client(st, 0)
     assign_fractional(st, 0)
-    init_client(st, 1)
+    fj, _, _ = init_client(st, 1)
     rates = ccfl_rates(st, 1)
-    fj = st.initialized[1]
     h = 1e-6
     for t, i in enumerate(fj):
         i = int(i)
@@ -153,11 +170,10 @@ def test_rates_match_central_difference_of_reference():
 def test_indicator_flips_on_joining_the_row_max():
     inst = uniform_instance(m=2, n=2)
     st = new_trial(inst, z_value=8.0, gamma=1.0)
-    init_client(st, 0)
     assign_fractional(st, 0)
-    init_client(st, 1)
+    probe = entered(st, 1)
     # fresh client sits below the row max: indicator off for both facilities
-    assert all(st.x[i, 1] < st.rowmax[i] for i in range(2))
+    assert all(probe.x[i, 1] < probe.rowmax[i] for i in range(2))
     assign_fractional(st, 1)
     # after catching up it joins (or replaces) the row max
     assert any(st.x[i, 1] == st.rowmax[i] for i in range(2))
@@ -169,8 +185,7 @@ def test_first_phase_always_runs():
         inst = gen_random_ccfl(4, 5, seed=seed)
         z = 2.0 * brute_force_zstar(inst)
         st = new_trial(inst, z_value=z, gamma=1.0)
-        init_client(st, 0)
-        assert st.x[:, 0].sum() < 0.5
+        assert entered(st, 0).x[:, 0].sum() < 0.5
         assign_fractional(st, 0)
         assert st.phases_per_client[0] >= 1
 
@@ -181,7 +196,6 @@ def test_symmetric_two_facility_hand_recurrence():
     inst = uniform_instance(m=2, n=2)
     z = 8.0
     st = new_trial(inst, z_value=z, gamma=1.0)
-    init_client(st, 0)
     mu = inst.mu
     x = 0.125
     phases = 0
@@ -191,6 +205,22 @@ def test_symmetric_two_facility_hand_recurrence():
     assign_fractional(st, 0)
     assert st.phases_per_client[0] == phases
     assert st.x[:, 0] == pytest.approx([x, x], rel=1e-12)
+
+
+def test_entering_a_client_twice_raises():
+    inst = uniform_instance()
+    st = new_trial(inst, z_value=8.0, gamma=1.0)
+    assert assign_fractional(st, 0)
+    x = st.x.copy()
+    with pytest.raises(ValueError, match="client 0 already entered this trial"):
+        init_client(st, 0)
+    with pytest.raises(ValueError, match="client 0 already entered this trial"):
+        assign_fractional(st, 0)
+    assert np.array_equal(st.x, x)
+    solver = CcflFractionalSolver(inst, 8.0)
+    solver.offer(1)
+    with pytest.raises(ValueError, match="client 1 already entered this trial"):
+        solver.offer(1)
 
 
 def test_x_never_exceeds_mu():
@@ -321,11 +351,9 @@ def test_z_running_maxima_monotone():
     st = new_trial(inst, z_value=z, gamma=1.0)
     seen: dict[int, float] = {}
     for j in range(inst.n):
-        init_client(st, j)
         assign_fractional(st, j)
-        for i in st.initialized[j]:
-            i = int(i)
-            cur = st.z_prev[i]
+        for i in np.nonzero(st.x[:, j])[0].tolist():
+            cur = st.rowmax[i]
             assert cur >= seen.get(i, 0.0) - 1e-15
             assert st.z_ratio_log[(i, j)] >= 0.0
             seen[i] = cur
@@ -335,6 +363,7 @@ def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
     # the trial reads "client j holds facility i's maximum" as
     # x[i, j] == rowmax[i]; replay the set-based tracker beside it
     trackers: dict[int, TieTracker] = {}
+    wanted: list[tuple[np.ndarray, np.ndarray]] = []
     calls: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     flags_seen: set[bool] = set()
     kernel, init, assign = (
@@ -348,9 +377,11 @@ def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
 
     def traced_init(st, j):
         before = st.rowmax.copy()
-        init(st, j)
-        fac = st.initialized[j]
+        out = init(st, j)
+        fac = out[0]
         tracker(st).init_client(j, fac, st.x[fac, j], before[fac])
+        wanted.append((fac, tracker(st).at_max(j, fac)))
+        return out
 
     def traced_kernel(fac, p, a, c, x_j, at_max, rowmax, *rest):
         entry, top = at_max.copy(), rowmax[fac].copy()
@@ -361,19 +392,18 @@ def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
 
     def traced_assign(st, j):
         tr = tracker(st)
-        fac = st.initialized[j]
-        want = tr.at_max(j, fac)
+        wanted.clear()
         calls.clear()
         ok = assign(st, j)
+        ((fac, want),) = wanted
         ((entry, after, grew),) = calls
         assert np.array_equal(entry, want)
         flags_seen.update(entry.tolist())
         tr.client_end(j, fac, st.x[fac, j], after, grew)
-        touched = np.zeros(st.instance.m, dtype=np.bool_)
-        for f in st.initialized.values():
-            touched[f] = True
-        assert np.array_equal(st.z_prev[touched], st.rowmax[touched])
-        assert not st.z_prev[~touched].any()
+        assert {i: float(st.rowmax[i]) for i in tr.rowmax} == tr.rowmax
+        untouched = np.ones(st.instance.m, dtype=np.bool_)
+        untouched[list(tr.rowmax)] = False
+        assert not st.rowmax[untouched].any()
         assert list(st.z_ratio_log.items()) == list(tr.z_ratio_log.items())
         return ok
 
@@ -396,3 +426,45 @@ def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
         sol = gamma_trials(inst, z)
     assert [st.gamma for st in sol.trials] == [1.0, 2.0]
     assert flags_seen == {True, False}
+
+
+def _ratio_digest(st) -> str:
+    text = ";".join(
+        f"{i},{j},{v.hex()}" for (i, j), v in sorted(st.z_ratio_log.items())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_gamma_trials_bits_are_pinned():
+    # pinned bits, per trial: gamma, max scaled violation, a digest of the
+    # sorted z ratio log and its size; a change that moves any of them must
+    # say why
+    heavy = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    runs = [(heavy, 1.0)]
+    for seed in (4, 9):
+        runs.append((gen_random_ccfl(4, 7, seed=seed, capacity_range=(1.0, 2.0)), 1.25))
+    pinned = [
+        (
+            "0x1.7731ea529646fp+7",
+            [
+                (1.0, "0x1.5c055b57d33a8p+4", "5b8f6b15b45d82a3", 92),
+                (2.0, "0x1.99fffab7f0b00p+1", "cf94d6e358d96b85", 19),
+            ],
+        ),
+        ("0x1.4fe6ff70b3af2p+5", [(1.0, "0x1.ec65113b65af0p+0", "5d00ebdbad973784", 21)]),
+        ("0x1.352d1fbd7e17ap+5", [(1.0, "0x1.a1afdefe3af55p+0", "6061546acea330bf", 22)]),
+    ]
+    for (inst, scale), (cost, trials) in zip(runs, pinned):
+        # near the least Z that gives every client a candidate, so most
+        # candidate sets are partial
+        z = scale * max(inst.entry_cost(j).min() for j in range(inst.n))
+        sol = gamma_trials(inst, z)
+        assert sol.cumulative_cost.hex() == cost
+        got = [
+            (st.gamma, st.max_scaled_violation.hex(), _ratio_digest(st), len(st.z_ratio_log))
+            for st in sol.trials
+        ]
+        assert got == trials

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixpc import (
+    CcflClient,
     CcflInstance,
     CoveringRow,
     OmpcInstance,
@@ -202,6 +203,79 @@ def test_bad_covering_row_names_its_own_line(row, message):
         parse_instance(_ompc_doc(["0:1.0", row, "1:2.0 2:0.5"]))
     assert err.value.lineno == 9
     assert str(err.value) == f"line 9: {message}"
+
+
+# Lines 1-5 are the header; the first packing triplet is on line 6.
+_PACKING_HEAD = "mixpc-instance v1\nkind ompc\nm 2\nn 2\npacking {count}\n"
+
+
+@pytest.mark.parametrize(
+    "triplets, lineno, message",
+    [
+        (["0 0 nan"], 6, "packing coefficients must be finite"),
+        (["0 0 inf"], 6, "packing coefficients must be finite"),
+        (["1 1 1.0", "0 0 -inf"], 7, "packing coefficients must be finite"),
+        (["0 0 -1.0"], 6, "packing coefficients must be nonnegative"),
+        (["0 0 1.0", "1 1 1.0", "0 0 2.0"], 8, "duplicate packing entry"),
+        (["0 1 0.0", "0 1 1.0"], 7, "duplicate packing entry"),
+    ],
+)
+def test_bad_packing_triplet_names_its_own_line(triplets, lineno, message):
+    doc = (
+        _PACKING_HEAD.format(count=len(triplets))
+        + "\n".join(triplets)
+        + "\ncovering 1\n0:1.0\nend\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_instance(doc)
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+
+
+# Lines 1-5 are the header; facility 0 is on line 6, facility 1 on line 7.
+_CCFL_DOC = (
+    "mixpc-instance v1\nkind ccfl\nm 2\nn 2\nfacilities 2\n{f0}\n{f1}\n"
+    "clients 2\n0:1.0:0.5 1:1.0:0.5\n0:2.0:0.5\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "f0, f1, lineno, message",
+    [
+        ("1.0 0.0", "1.0 1.0", 6, "fixed charges must be >= 0 and capacities > 0"),
+        ("1.0 -1.0", "1.0 1.0", 6, "fixed charges must be >= 0 and capacities > 0"),
+        ("-1.0 1.0", "1.0 1.0", 6, "fixed charges must be >= 0 and capacities > 0"),
+        ("-inf 1.0", "1.0 1.0", 6, "fixed charges must be >= 0 and capacities > 0"),
+        ("1.0 1.0", "nan 1.0", 7, "facility parameters must be finite"),
+        ("nan 1.0", "1.0 1.0", 6, "facility parameters must be finite"),
+        ("1.0 nan", "1.0 1.0", 6, "facility parameters must be finite"),
+        ("inf 1.0", "1.0 1.0", 6, "facility parameters must be finite"),
+        ("1.0 inf", "1.0 1.0", 6, "facility parameters must be finite"),
+    ],
+)
+def test_bad_facility_line_names_its_own_line(f0, f1, lineno, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_CCFL_DOC.format(f0=f0, f1=f1))
+    assert err.value.lineno == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+
+
+def test_ccfl_doc_with_good_facilities_parses():
+    inst = parse_instance(_CCFL_DOC.format(f0="0.0 2.0", f1="1.5 1.0"))
+    assert inst.fixed_charge.tolist() == [0.0, 1.5]
+    assert inst.capacity.tolist() == [2.0, 1.0]
+
+
+def test_instance_rejects_a_negative_facility_id():
+    def client(fac):
+        k = len(fac)
+        return CcflClient(np.array(fac), np.ones(k), np.ones(k), np.ones(k))
+
+    CcflInstance(np.ones(2), np.ones(2), (client([0, 1]), client([1])))
+    with pytest.raises(ValueError, match="^client references unknown facility$"):
+        CcflInstance(np.ones(2), np.ones(2), (client([-1, 0]), client([1])))
+    with pytest.raises(ValueError, match="^client references unknown facility$"):
+        CcflInstance(np.ones(2), np.ones(2), (client([0]), client([2])))
 
 
 def test_instance_rejects_a_row_beyond_n():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -174,8 +176,19 @@ def test_z_epochs_assigns_everyone_and_doubles():
         # assignments honour candidate sets of their epoch's guess
         for e in res.epochs:
             for j in e.clients:
-                i = int(res.assignment[j])
-                assert i in inst.candidates(j, e.z_value)
+                keep = inst.entry_cost(j) <= e.z_value
+                assert res.assignment[j] in inst.clients[j].facilities[keep]
+
+
+def test_z_epochs_decision_log_is_pinned():
+    # pinned bits: a change to the ccfl arrival or the rounding that moves
+    # any of them must say why
+    inst = gen_random_ccfl(6, 40, seed=5, capacity_range=(1.0, 2.0))
+    res = z_epochs(inst, seed=3, epoch_constant=0.02)
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in res.decision_log)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "148ac7bddaca1e7f"
+    assert [e.fail_reason for e in res.epochs] == ["no-candidate", "cost", ""]
+    assert res.final_z.hex() == "0x1.376f0a58108d2p+3"
 
 
 def test_z_epochs_epoch_count_bound():
