@@ -419,26 +419,9 @@ class CcflFractionalSolver:
             trials=tuple(self._records),
         )
 
-    # -- aggregate views ----------------------------------------------------
-
     @property
     def x_aggregate(self) -> np.ndarray:
         return self._x_closed + self.state.x
-
-    @property
-    def y_aggregate(self) -> np.ndarray:
-        """Facility openness of the aggregate."""
-        return openness(self.instance, self.x_aggregate, self.z_value)
-
-    @property
-    def cumulative_cost(self) -> float:
-        return self._cost_closed + self.state.gamma * ccfl_cost(self.state)
-
-    @property
-    def trials(self) -> tuple[CcflTrialState, ...]:
-        return tuple(self._records) + (
-            (self.state,) if self.state.phases_per_client else ()
-        )
 
 
 @dataclass(frozen=True)

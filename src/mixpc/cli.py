@@ -16,7 +16,7 @@ from .ccfl import CcflInstance
 from .core import violation
 from .instances import OmpcInstance, emit_instance, parse_instance
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
-from .rounding import epoch_budget, z_epochs
+from .rounding import DEFAULT_EPOCH_CONSTANT, epoch_budget, z_epochs
 from .runner import (
     ExperimentConfig,
     check_adversary_run,
@@ -170,7 +170,7 @@ _OPTIONS = {
     "--bound-check": dict(action="store_true"),
     "--epoch-constant": dict(
         type=float,
-        default=512.0,
+        default=DEFAULT_EPOCH_CONSTANT,
         help="budget constant K for the cost-guess doubling",
     ),
 }

@@ -158,20 +158,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_matrix(p: PackingSystem | np.ndarray) -> np.ndarray:
-    return p.matrix if isinstance(p, PackingSystem) else np.asarray(p, dtype=np.float64)
-
-
-def _check_dims(pt: np.ndarray, x: np.ndarray) -> None:
-    if pt.ndim != 2 or x.ndim != 1 or pt.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix {pt.shape} vs vector {x.shape}"
-        )
-
-
-def violation(p: PackingSystem | np.ndarray, x: np.ndarray) -> float:
+def violation(system: PackingSystem, x: np.ndarray) -> float:
     """Exact worst packing row value ``max_k (P x)_k``."""
-    pm = _as_matrix(p)
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(pm, x)
-    return float((pm @ x).max())
+    return float((system.matrix @ np.asarray(x, dtype=np.float64)).max())

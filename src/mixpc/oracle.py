@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoveringRow, PackingSystem
+from .core import CoveringRow, PackingSystem, violation
 
 __all__ = [
     "LpProblem",
@@ -233,11 +233,14 @@ def ompc_opt(system: PackingSystem, rows: list[CoveringRow]) -> OmpcOptResult:
     sol = simplex_solve(LpProblem(obj, lhs, tuple(senses), rhs))
     if sol.status != "optimal":
         raise RuntimeError(f"offline packing/covering LP came back {sol.status}")
+    x = sol.primal[:n]
     y = np.maximum(sol.duals[:mc], 0.0)
     z = np.maximum(-sol.duals[mc:], 0.0)
+    # a primal that loads no packing row proves OPT = 0, as lambda >= 0;
+    # return that exactly, not the simplex's rounding noise around it
     return OmpcOptResult(
-        value=float(sol.objective),
-        x=sol.primal[:n],
+        value=0.0 if violation(system, x) == 0.0 else float(sol.objective),
+        x=x,
         y=y,
         z=z,
         dual_value=float(y.sum()),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .ccfl import (
     CcflInstance,
     ccfl_dual_certificate,
     gamma_trials,
+    openness,
 )
 from .core import violation
 from .instances import OmpcInstance, gen_random_ccfl, gen_random_ompc
@@ -63,27 +64,6 @@ DUAL_TOL = 1e-9
 # this fraction
 CONGESTION_SLACK = 0.05
 
-REPORT_COLUMNS = (
-    "instance",
-    "seed",
-    "algorithm",
-    "m",
-    "n",
-    "d",
-    "rho",
-    "kappa",
-    "sigma",
-    "online",
-    "oracle",
-    "ratio",
-    "bound",
-    "phases",
-    "trials",
-    "epochs",
-    "witness",
-    "wall_time_s",
-)
-
 
 @dataclass
 class ExperimentRecord:
@@ -119,6 +99,11 @@ class ExperimentRecord:
         return out
 
 
+# the CSV columns: ExperimentRecord's fields in order, read once at import
+# so that writing a report never looks the class up by name
+REPORT_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
+
+
 @dataclass
 class ExperimentReport:
     records: list[ExperimentRecord] = field(default_factory=list)
@@ -142,18 +127,20 @@ def report_to_csv(report: ExperimentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _mu_and_spread(instance: OmpcInstance) -> tuple[float, float]:
+    """``mu`` and ``mu d^2 rho kappa`` from the full stream."""
+    mu = mu_for(instance.system.m)
+    return mu, mu * instance.d**2 * instance.system.rho * instance.kappa
+
+
 def ompc_sigma(instance: OmpcInstance) -> float:
     """Post-hoc ``e^2 ln(mu d^2 rho kappa)`` from the full stream."""
-    mu = mu_for(instance.system.m)
-    return _E**2 * math.log(
-        mu * instance.d**2 * instance.system.rho * instance.kappa
-    )
+    return _E**2 * math.log(_mu_and_spread(instance)[1])
 
 
 def ompc_phase_budget(instance: OmpcInstance) -> int:
     """Per-trial phase allowance ``n * ceil(log_mu(mu d^2 rho kappa))``."""
-    mu = mu_for(instance.system.m)
-    arg = mu * instance.d**2 * instance.system.rho * instance.kappa
+    mu, arg = _mu_and_spread(instance)
     return instance.system.n * math.ceil(math.log(arg) / math.log(mu))
 
 
@@ -169,10 +156,9 @@ def ccfl_bound(instance: CcflInstance) -> float:
 
 
 def _ompc_dual_feasible(
-    instance: OmpcInstance, state, sigma: float
+    instance: OmpcInstance, y_scaled: dict[int, float], z_scaled: np.ndarray
 ) -> tuple[float, float]:
-    """Residuals of both dual families for one trial (<= 0 means feasible)."""
-    y_scaled, z_scaled = dual_certificate(state, sigma)
+    """Residuals of both dual families of a certificate (<= 0 means feasible)."""
     cty = np.zeros(instance.system.n)
     for row_id, yv in y_scaled.items():
         row = instance.rows[row_id]
@@ -215,10 +201,10 @@ def check_ompc_run(
             out.append(
                 f"{label}: trial {t} primal-dual gap {rec.state.min_pd_gap} < -{PD_TOL}"
             )
-        fam1, fam2 = _ompc_dual_feasible(instance, rec.state, sigma)
+        y_scaled, z_scaled = dual_certificate(rec.state, sigma)
+        fam1, fam2 = _ompc_dual_feasible(instance, y_scaled, z_scaled)
         if fam1 > DUAL_TOL or fam2 > DUAL_TOL:
             out.append(f"{label}: trial {t} dual infeasible ({fam1}, {fam2})")
-        y_scaled, _ = dual_certificate(rec.state, sigma)
         weak = sum(y_scaled.values())
         if weak > opt_value * (1 + 1e-7) + 1e-12:
             out.append(f"{label}: trial {t} weak duality {weak} > OPT {opt_value}")
@@ -530,8 +516,9 @@ def suite_ccfl_mc(
     y_per_client = np.zeros((n, m))
     for j in range(n):
         solver.offer(j)
-        x_per_client[j] = solver.x_aggregate[:, j]
-        y_per_client[j] = solver.y_aggregate
+        x = solver.x_aggregate
+        x_per_client[j] = x[:, j]
+        y_per_client[j] = openness(inst, x, z_value)
     t0 = time.perf_counter()
     stats = mc_rounding(inst, x_per_client, y_per_client, z_value, reps, seed)
     report = ExperimentReport()

@@ -68,15 +68,10 @@ class OmpcTrialState:
     z_running: np.ndarray
     duals_y: dict[int, float]
     max_scaled_violation: float
-    phase_index: int = 0
     failed: bool = False
     rows_seen: list[int] = field(default_factory=list)
     phases_per_row: dict[int, int] = field(default_factory=dict)
     min_pd_gap: float = math.inf
-
-    @property
-    def scaled_matrix(self) -> np.ndarray:
-        return self.system.scaled(self.gamma)
 
     def lambda_value(self) -> float:
         """Unscaled worst packing row value of this trial's variables."""
@@ -133,9 +128,7 @@ def init_trial(
     )
 
 
-def process_constraint(
-    state: OmpcTrialState, row: CoveringRow, row_id: int | None = None
-) -> bool:
+def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> bool:
     """Run phases until the row is met; returns False if the trial failed.
 
     Variables whose packing column is all zero carry no penalty weight, so
@@ -146,8 +139,6 @@ def process_constraint(
     # CoveringRow sorts its indices, so the last one is the largest
     if row.indices[-1] >= state.system.n:
         raise ValueError("covering row references unknown variables")
-    if row_id is None:
-        row_id = len(state.rows_seen)
     state.rows_seen.append(row_id)
     state.duals_y.setdefault(row_id, 0.0)
 
@@ -160,7 +151,7 @@ def process_constraint(
         return True
 
     status, phases, dual_inc, max_tl, min_gap = _kernels.ompc_row_phases(
-        state.scaled_matrix,
+        state.system.scaled(state.gamma),
         row.indices,
         row.values,
         state.x,
@@ -171,7 +162,6 @@ def process_constraint(
         fail_level_for(state.system.m),
         SAT_SLACK,
     )
-    state.phase_index += phases
     state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0) + phases
     state.duals_y[row_id] += dual_inc
     state.max_scaled_violation = float(max_tl)
@@ -246,19 +236,19 @@ class OnlineOmpcSolver:
         row_id = self._rows_offered
         self._rows_offered += 1
         while not process_constraint(self._state, row, row_id):
-            self._retire(failed=True)
+            self._retire()
             self._state = init_trial(
                 self.system, self._records[-1].gamma * 2.0, self._first_row
             )
         return self.x_total
 
-    def _retire(self, failed: bool) -> None:
+    def _retire(self) -> None:
         st = self._state
         rec = TrialRecord(
             gamma=st.gamma,
             lambda_f=st.lambda_value(),
-            failed=failed,
-            phases=st.phase_index,
+            failed=st.failed,
+            phases=sum(st.phases_per_row.values()),
             state=st,
         )
         self._records.append(rec)
@@ -268,7 +258,7 @@ class OnlineOmpcSolver:
     def finish(self) -> OmpcSolution:
         """Close the active trial and package the run."""
         if self._state is not None:
-            self._retire(failed=False)
+            self._retire()
         x = self._x_closed.copy()
         return OmpcSolution(
             x_total=x,

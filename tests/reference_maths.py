@@ -11,7 +11,18 @@ import numpy as np
 import math
 
 from mixpc.ccfl import CcflTrialState
-from mixpc.core import CoveringRow, PackingSystem, _as_matrix, _check_dims
+from mixpc.core import CoveringRow, PackingSystem
+
+
+def _as_matrix(p: PackingSystem | np.ndarray) -> np.ndarray:
+    return p.matrix if isinstance(p, PackingSystem) else np.asarray(p, dtype=np.float64)
+
+
+def _check_dims(pt: np.ndarray, x: np.ndarray) -> None:
+    if pt.ndim != 2 or x.ndim != 1 or pt.shape[1] != x.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: matrix {pt.shape} vs vector {x.shape}"
+        )
 
 
 def smooth_max_and_rates(

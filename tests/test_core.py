@@ -91,8 +91,9 @@ def test_step_size_rejects_no_overlap():
 
 
 def test_violation_basics():
-    assert violation(np.eye(2), np.zeros(2)) == 0.0
-    assert violation(np.eye(2), np.array([1.0, 2.0])) == 2.0
+    eye = PackingSystem(np.eye(2))
+    assert violation(eye, np.zeros(2)) == 0.0
+    assert violation(eye, np.array([1.0, 2.0])) == 2.0
 
 
 def test_violation_matches_direct_product():
@@ -101,7 +102,7 @@ def test_violation_matches_direct_product():
         p = g.random((3, 6))
         x = g.random(6)
         expected = max(float(p[k] @ x) for k in range(3))
-        assert violation(p, x) == pytest.approx(expected, rel=1e-15)
+        assert violation(PackingSystem(p), x) == pytest.approx(expected, rel=1e-15)
 
 
 def test_packing_system_validation():

@@ -14,7 +14,7 @@ from mixpc import (
     rounds_for,
     z_epochs,
 )
-from mixpc.ccfl import CcflClient, CcflFractionalSolver, CcflInstance
+from mixpc.ccfl import CcflClient, CcflFractionalSolver, CcflInstance, openness
 from mixpc.rng import restart, rng_for
 from mixpc.rounding import epoch_budget
 
@@ -95,8 +95,9 @@ def _frozen_fractional(m=4, n=6, seed=5):
     ys = np.zeros((n, m))
     for j in range(n):
         solver.offer(j)
-        xs[j] = solver.x_aggregate[:, j]
-        ys[j] = solver.y_aggregate
+        x = solver.x_aggregate
+        xs[j] = x[:, j]
+        ys[j] = openness(inst, x, z)
     return inst, z, xs, ys
 
 

@@ -114,6 +114,50 @@ def test_opt_zero_is_checked_by_phase_count(tmp_path, capsys):
     ]
 
 
+# OPT = 0, but the simplex's objective came back as -3.5e-18 (A) and
+# 1.0e-9 (B) while its primal loads no packing row
+OMPC_OPT_ZERO_NOISY = {
+    "A": """mixpc-instance v1
+kind ompc
+m 1
+n 2
+packing 1
+0 0 0.3746752616034644
+covering 3
+0:625558387341.7756 1:7618099.14477571
+0:2.3250472662782773 1:21.38273714791391
+1:25.534583642312832
+end
+""",
+    "B": """mixpc-instance v1
+kind ompc
+m 2
+n 2
+packing 1
+0 0 7652652.39163527
+covering 3
+0:4.3457385238849696e-08 1:2.3482460219895875
+1:1.8768191241267863e-07
+0:2.1730743255308 1:4.0370250197983354e-07
+end
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMPC_OPT_ZERO_NOISY))
+def test_oracle_returns_exact_zero_when_no_packing_row_is_loaded(
+    name, tmp_path, capsys
+):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(OMPC_OPT_ZERO_NOISY[name])
+    assert main(["oracle", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("opt 0.0\n")
+    assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
+    out = capsys.readouterr()
+    assert "phases 0\noracle 0.0\n" in out.out
+    assert out.err == ""
+
+
 def test_cli_adversary_writes_instance(tmp_path, capsys):
     out_path = tmp_path / "adv.txt"
     code = main(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -45,7 +47,7 @@ def test_presatisfied_row_runs_zero_phases():
     row = CoveringRow(np.array([0]), np.array([1.0]))
     st = init_trial(system, 1.0, row)
     assert process_constraint(st, row, 0) is True
-    assert st.phase_index == 0
+    assert st.phases_per_row == {0: 0}
     sol = solve_online(system, [row])
     assert sol.lambda_value == pytest.approx(1.0)
     assert len(sol.trials) == 1
@@ -74,7 +76,7 @@ def test_symmetric_identity_matches_hand_recurrence():
     st = init_trial(system, gamma, row)
     assert process_constraint(st, row, 0) is True
     expected_x, expected_phases = hand_simulate_symmetric(gamma)
-    assert st.phase_index == expected_phases
+    assert st.phases_per_row == {0: expected_phases}
     assert st.x == pytest.approx(expected_x, rel=1e-12)
     # dual coordinate collected e * eps per phase with eps = (mu-1)*rate
     assert st.duals_y[0] > 0
@@ -94,12 +96,12 @@ def test_phase_multipliers_capped_and_attained():
         before = st.x.copy()
         st_snapshot = init_trial(system, 10.0, row)
         st_snapshot.x[:] = before
-        st_snapshot.pvx[:] = st_snapshot.scaled_matrix @ before
+        st_snapshot.pvx[:] = system.scaled(st_snapshot.gamma) @ before
         # single phase: a fail level of -inf stops the kernel after one
         from mixpc import _kernels
 
         status, phases, *_ = _kernels.ompc_row_phases(
-            st.scaled_matrix,
+            system.scaled(st.gamma),
             row.indices,
             row.values,
             st.x,
@@ -193,6 +195,34 @@ def test_aggregate_lambda_bounded_by_trial_sum():
     inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
     sol = solve_online(inst.system, list(inst.rows))
     assert sol.lambda_value <= sum(r.lambda_f for r in sol.trials) + 1e-9
+
+
+def test_trial_bits_are_pinned():
+    # hashed as perfbench's ompc-stream digests hash a run: the trial list
+    # and the aggregate; three trials, the first two failed
+    inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
+    sol = solve_online(inst.system, inst.rows)
+    assert [rec.phases for rec in sol.trials] == [48, 81, 102]
+    assert [rec.failed for rec in sol.trials] == [True, True, False]
+    trials = [
+        {
+            "gamma": rec.gamma,
+            "failed": rec.failed,
+            "phases": rec.phases,
+            "rows": [
+                [int(r), int(rec.state.phases_per_row.get(r, 0))]
+                for r in rec.state.rows_seen
+            ],
+        }
+        for rec in sol.trials
+    ]
+    assert hashlib.sha256(json.dumps(trials).encode()).hexdigest() == (
+        "6ecc70c640624f6aad119515f392c70ac225786ca8c80920e0ddd4db075e7bf4"
+    )
+    x_bytes = sol.x_total.tobytes() + repr(sol.lambda_value).encode()
+    assert hashlib.sha256(x_bytes).hexdigest() == (
+        "feb9750c892c61ae2adf860bb780cdae073e3b73915918f3a03cbe6539c1e5b2"
+    )
 
 
 def test_phase_budget_holds():
