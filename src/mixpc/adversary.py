@@ -77,7 +77,8 @@ class MpcResponder:
         self.solver = OnlineOmpcSolver(system)
 
     def respond(self, row: CoveringRow) -> np.ndarray:
-        return self.solver.offer(row)
+        self.solver.offer(row)
+        return self.solver.x_total
 
 
 # the online algorithms by name, each built from the packing system

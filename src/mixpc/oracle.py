@@ -237,9 +237,14 @@ def ompc_opt(system: PackingSystem, rows: list[CoveringRow]) -> OmpcOptResult:
     y = np.maximum(sol.duals[:mc], 0.0)
     z = np.maximum(-sol.duals[mc:], 0.0)
     # a primal that loads no packing row proves OPT = 0, as lambda >= 0;
-    # return that exactly, not the simplex's rounding noise around it
+    # return that exactly, not the simplex's rounding noise around it.  Its
+    # dual is y = 0, which stays feasible with any z >= 0, so weak duality
+    # holds against the returned optimum too
+    opt_zero = violation(system, x) == 0.0
+    if opt_zero:
+        y = np.zeros(mc)
     return OmpcOptResult(
-        value=0.0 if violation(system, x) == 0.0 else float(sol.objective),
+        value=0.0 if opt_zero else float(sol.objective),
         x=x,
         y=y,
         z=z,

@@ -131,8 +131,10 @@ def init_trial(
 def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> bool:
     """Run phases until the row is met; returns False if the trial failed.
 
-    Variables whose packing column is all zero carry no penalty weight, so
-    one of them (lowest index) is raised outright to cover the row.
+    A row already met runs no phase and changes nothing but its own
+    records.  Variables whose packing column is all zero carry no penalty
+    weight, so one of them (lowest index) is raised outright to cover the
+    row.
     """
     if state.failed:
         raise RuntimeError("trial already failed; start a new trial")
@@ -141,17 +143,24 @@ def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> 
         raise ValueError("covering row references unknown variables")
     state.rows_seen.append(row_id)
     state.duals_y.setdefault(row_id, 0.0)
+    state.phases_per_row.setdefault(row_id, 0)
+    nonzeros = state.system.column_nonzeros()
+    pt = state.system.scaled(state.gamma)
 
-    zero_cols = np.flatnonzero(state.system.column_nonzeros()[row.indices] == 0)
-    if zero_cols.size and row.coverage(state.x) < 1.0 - SAT_SLACK:
+    # the kernel's own entry test, so a row it would return from at once
+    # costs one dot product and leaves the trial exactly as the kernel would
+    if not row.coverage(state.x) < 1.0 - SAT_SLACK:
+        return True
+
+    zero_cols = np.flatnonzero(nonzeros[row.indices] == 0)
+    if zero_cols.size:
         t = int(zero_cols[0])
         j = int(row.indices[t])
         state.x[j] = max(state.x[j], 1.0 / row.values[t])
-        state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0)
         return True
 
     status, phases, dual_inc, max_tl, min_gap = _kernels.ompc_row_phases(
-        state.system.scaled(state.gamma),
+        pt,
         row.indices,
         row.values,
         state.x,
@@ -162,7 +171,7 @@ def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> 
         fail_level_for(state.system.m),
         SAT_SLACK,
     )
-    state.phases_per_row[row_id] = state.phases_per_row.get(row_id, 0) + phases
+    state.phases_per_row[row_id] += phases
     state.duals_y[row_id] += dual_inc
     state.max_scaled_violation = float(max_tl)
     state.min_pd_gap = min(state.min_pd_gap, float(min_gap))
@@ -228,8 +237,8 @@ class OnlineOmpcSolver:
             return self._x_closed.copy()
         return self._x_closed + self._state.x
 
-    def offer(self, row: CoveringRow) -> np.ndarray:
-        """Process one covering row; returns the aggregate variable vector."""
+    def offer(self, row: CoveringRow) -> None:
+        """Process one covering row; ``x_total`` then covers it."""
         if self._state is None:
             self._first_row = row
             self._state = init_trial(self.system, start_scale(self.system, row), row)
@@ -240,7 +249,6 @@ class OnlineOmpcSolver:
             self._state = init_trial(
                 self.system, self._records[-1].gamma * 2.0, self._first_row
             )
-        return self.x_total
 
     def _retire(self) -> None:
         st = self._state

@@ -139,7 +139,8 @@ def test_adversary_transcript_replays_identically():
     back = parse_instance(text)
     solver = OnlineOmpcSolver(back.system)
     for row in back.rows:
-        x = solver.offer(row)
+        solver.offer(row)
+    x = solver.x_total
     assert np.allclose(x, res.x_final, rtol=0, atol=0)
 
 

@@ -151,7 +151,7 @@ def test_oracle_returns_exact_zero_when_no_packing_row_is_loaded(
     path = tmp_path / f"{name}.txt"
     path.write_text(OMPC_OPT_ZERO_NOISY[name])
     assert main(["oracle", "--instance", str(path)]) == 0
-    assert capsys.readouterr().out.startswith("opt 0.0\n")
+    assert capsys.readouterr().out.startswith("opt 0.0\ndual 0.0\n")
     assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
     out = capsys.readouterr()
     assert "phases 0\noracle 0.0\n" in out.out

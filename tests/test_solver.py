@@ -53,6 +53,54 @@ def test_presatisfied_row_runs_zero_phases():
     assert len(sol.trials) == 1
 
 
+def _no_kernel(*args):
+    raise AssertionError("the phase kernel ran for a covered row")
+
+
+def test_covered_row_leaves_the_trial_as_it_was(monkeypatch):
+    from mixpc import _kernels
+
+    inst = gen_random_ompc(4, 6, 1, 0.7, (1.0, 3.0), seed=42)
+    row = inst.rows[0]
+    st = init_trial(inst.system, 10.0, row)
+    assert process_constraint(st, row, 0) is True
+    assert st.phases_per_row[0] > 0
+    before = (st.x.tobytes(), st.pvx.tobytes(), st.z_running.tobytes())
+    tl, gap = st.max_scaled_violation, st.min_pd_gap
+    monkeypatch.setattr(_kernels, "ompc_row_phases", _no_kernel)
+    # the same row again is met by the x it left behind
+    assert process_constraint(st, row, 1) is True
+    assert (st.x.tobytes(), st.pvx.tobytes(), st.z_running.tobytes()) == before
+    assert st.phases_per_row[1] == 0
+    assert st.duals_y[1] == 0.0
+    assert st.rows_seen == [0, 1]
+    assert (st.max_scaled_violation, st.min_pd_gap) == (tl, gap)
+
+
+def test_covered_row_with_an_empty_column_variable_runs_no_phase(monkeypatch):
+    from mixpc import _kernels
+
+    # variable 1 carries no packing weight, but the row is met through 0
+    system = PackingSystem(np.array([[1.0, 0.0]]))
+    first = CoveringRow(np.array([0]), np.array([1.0]))
+    row = CoveringRow(np.array([0, 1]), np.array([2.0, 1.0]))
+    st = init_trial(system, 1.0, first)
+    assert process_constraint(st, first, 0) is True
+    x1 = st.x[1]
+    monkeypatch.setattr(_kernels, "ompc_row_phases", _no_kernel)
+    assert process_constraint(st, row, 1) is True
+    assert st.phases_per_row[1] == 0
+    assert st.x[1] == x1
+
+
+def test_offer_returns_none():
+    inst = gen_random_ompc(4, 6, 3, 0.7, (1.0, 3.0), seed=42)
+    solver = OnlineOmpcSolver(inst.system)
+    for row in inst.rows:
+        assert solver.offer(row) is None
+        assert row.coverage(solver.x_total) >= 1.0 - 1e-12
+
+
 def hand_simulate_symmetric(gamma: float, m: int = 2) -> tuple[np.ndarray, int]:
     """Scalar re-implementation for P = I2, row (1, 1), symmetric start.
 
@@ -94,9 +142,6 @@ def test_phase_multipliers_capped_and_attained():
         if row.coverage(st.x) >= 1.0 - 1e-12:
             break
         before = st.x.copy()
-        st_snapshot = init_trial(system, 10.0, row)
-        st_snapshot.x[:] = before
-        st_snapshot.pvx[:] = system.scaled(st_snapshot.gamma) @ before
         # single phase: a fail level of -inf stops the kernel after one
         from mixpc import _kernels
 
@@ -136,7 +181,8 @@ def test_monotone_within_and_across_trials():
     solver = OnlineOmpcSolver(inst.system)
     prev = np.zeros(inst.system.n)
     for row in inst.rows:
-        x = solver.offer(row)
+        solver.offer(row)
+        x = solver.x_total
         assert np.all(x >= prev - 1e-15)
         assert row.coverage(x) >= 1.0 - 1e-12
         prev = x
