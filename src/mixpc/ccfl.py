@@ -334,8 +334,6 @@ class CcflDualCertificate:
     beta: dict[tuple[int, int], float]  # scaled, per (facility, client)
     gamma_: np.ndarray  # scaled, per facility
     delta: np.ndarray  # scaled, per facility
-    nu: float
-    sigma: float
 
 
 def ccfl_dual_certificate(state: CcflTrialState) -> CcflDualCertificate:
@@ -367,8 +365,6 @@ def ccfl_dual_certificate(state: CcflTrialState) -> CcflDualCertificate:
         beta=beta_scaled,
         gamma_=gamma_raw * _E**2 / (nu * sig),
         delta=delta_raw * _E**2 / (nu * sig),
-        nu=nu,
-        sigma=sig,
     )
 
 
@@ -381,47 +377,39 @@ class CcflFractionalSolver:
     """Streaming fractional solver at a fixed cost guess ``Z``.
 
     ``offer(j)`` runs the arriving client through the current trial,
-    doubling ``gamma`` (with fresh variables) whenever the trial fails, and
-    leaves the aggregate solution covering every offered client.
+    doubling ``gamma`` (with fresh variables) whenever the trial fails.
+    Each attempt changes only column j of its trial's ``x``, and adds that
+    column in place to ``x_aggregate``, the live sum over all trials.
     """
 
     def __init__(self, instance: CcflInstance, z_value: float):
         self.instance = instance
         self.z_value = float(z_value)
-        self._x_closed = np.zeros((instance.m, instance.n))
-        self._cost_closed = 0.0  # sum of gamma * potential over retired trials
+        self.x_aggregate = np.zeros((instance.m, instance.n))
         self._records: list[CcflTrialState] = []
         self.state = new_trial(instance, z_value, gamma=1.0)
 
     def offer(self, j: int) -> None:
         while not assign_fractional(self.state, j):
-            self._retire()
-            self.state = new_trial(
-                self.instance, self.z_value, gamma=self._records[-1].gamma * 2.0
-            )
-
-    def _retire(self) -> None:
-        st = self.state
-        self._records.append(st)
-        self._x_closed += st.x
-        self._cost_closed += st.gamma * ccfl_cost(st)
+            self.x_aggregate[:, j] += self.state.x[:, j]
+            self._records.append(self.state)
+            self.state = new_trial(self.instance, self.z_value, self.state.gamma * 2.0)
+        self.x_aggregate[:, j] += self.state.x[:, j]
 
     def finish(self) -> "CcflFractionalSolution":
         if self.state.phases_per_client:
-            gamma = self.state.gamma
-            self._retire()
-            self.state = new_trial(self.instance, self.z_value, gamma)
+            self._records.append(self.state)
+            self.state = new_trial(self.instance, self.z_value, self.state.gamma)
+        cost = 0.0
+        for st in self._records:
+            cost += st.gamma * ccfl_cost(st)
         return CcflFractionalSolution(
             instance=self.instance,
             z_value=self.z_value,
-            x=self._x_closed.copy(),
-            cumulative_cost=self._cost_closed,
+            x=self.x_aggregate.copy(),
+            cumulative_cost=cost,
             trials=tuple(self._records),
         )
-
-    @property
-    def x_aggregate(self) -> np.ndarray:
-        return self._x_closed + self.state.x
 
 
 @dataclass(frozen=True)

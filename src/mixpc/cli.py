@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .adversary import RESPONDERS, optimal_witness, tree_adversary
@@ -126,6 +127,8 @@ def _cmd_round(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load(args.instance)
     if isinstance(inst, OmpcInstance):
+        if args.z is not None or args.brute:
+            raise ValueError("--z and --brute apply only to an assignment instance")
         # the coefficient range solve-ompc rejects is an input error here too
         first = inst.rows[0]
         start_point(inst.system, first, start_scale(inst.system, first))
@@ -139,6 +142,8 @@ def _cmd_oracle(args) -> int:
     if args.z is None:
         print("oracle on an assignment instance needs --z or --brute", file=sys.stderr)
         return 2
+    if not math.isfinite(args.z):
+        raise ValueError(f"--z must be finite, got {args.z!r}")
     sol = ccfl_opt1(inst, args.z)
     if sol.status != "optimal":
         print(f"status {sol.status}")
@@ -218,8 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "emit the per-client rounding decision log",
     )
     p = command("oracle", _cmd_oracle, "--instance", "offline optimum of an instance")
-    p.add_argument("--z", type=float, default=None, help="cost guess for opt1")
-    p.add_argument("--brute", action="store_true", help="brute-force total cost")
+    guess = p.add_mutually_exclusive_group()
+    guess.add_argument("--z", type=float, default=None, help="cost guess for opt1")
+    guess.add_argument("--brute", action="store_true", help="brute-force total cost")
     p = command(
         "suite", _cmd_suite, "--seed --out --bound-check", "run a named experiment suite"
     )

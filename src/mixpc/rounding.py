@@ -170,8 +170,11 @@ def z_epochs(
 
     Clients already assigned when an epoch's budget breaks stay assigned
     (decisions are irrevocable); only the unassigned suffix moves to the
-    next epoch with fresh fractional and rounding state.
+    next epoch with fresh fractional and rounding state.  Raises
+    ``ValueError`` unless ``epoch_constant`` is finite and > 0.
     """
+    if not 0.0 < epoch_constant < math.inf:
+        raise ValueError(f"epoch constant must be finite and > 0, got {epoch_constant!r}")
     m, n = instance.m, instance.n
     assignment = np.full(n, -1, dtype=np.int64)
     epochs: list[EpochSummary] = []
@@ -254,7 +257,6 @@ def z_epochs(
 @dataclass(frozen=True)
 class McRoundingStats:
     reps: int
-    r: int
     step4_freq: np.ndarray  # per client
     mean_opened_cost: float
     mean_max_candidate_congestion: float
@@ -311,7 +313,6 @@ def mc_rounding(
     lam = max(1.0, float(y_final.max()))
     return McRoundingStats(
         reps=reps,
-        r=r,
         step4_freq=step4_all.sum(axis=0) / reps,
         mean_opened_cost=float(opened_all.sum()) / reps,
         mean_max_candidate_congestion=float(cong_all.sum()) / reps,

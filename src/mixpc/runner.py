@@ -192,7 +192,8 @@ def check_ompc_run(
             f"{comp_bound} * OPT ({opt_value})"
         )
     budget = ompc_phase_budget(instance)
-    for t, rec in enumerate(solution.trials):
+    lams = [rec.state.lambda_value() for rec in solution.trials]
+    for t, (rec, lam) in enumerate(zip(solution.trials, lams)):
         if opt_value == 0.0 and rec.phases:
             out.append(f"{label}: trial {t} ran {rec.phases} phases at OPT 0")
         if rec.phases > budget:
@@ -208,11 +209,9 @@ def check_ompc_run(
         weak = sum(y_scaled.values())
         if weak > opt_value * (1 + 1e-7) + 1e-12:
             out.append(f"{label}: trial {t} weak duality {weak} > OPT {opt_value}")
-        if rec.failed:
-            tl_f = rec.lambda_f / rec.gamma
-            if tl_f > 1.0 + 3.0 * math.log(_E * m) + 1e-9:
-                out.append(f"{label}: trial {t} failed above the mu-step envelope")
-    lam_sum = sum(rec.lambda_f for rec in solution.trials)
+        if rec.failed and lam / rec.gamma > 1.0 + 3.0 * math.log(_E * m) + 1e-9:
+            out.append(f"{label}: trial {t} failed above the mu-step envelope")
+    lam_sum = sum(lams)
     if solution.lambda_value > lam_sum * (1 + 1e-9) + 1e-12:
         out.append(f"{label}: aggregate violation exceeds per-trial sum")
     return out

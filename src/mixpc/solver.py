@@ -201,7 +201,6 @@ def dual_certificate(
 @dataclass(frozen=True)
 class TrialRecord:
     gamma: float
-    lambda_f: float
     failed: bool
     phases: int
     state: OmpcTrialState
@@ -219,8 +218,9 @@ class OnlineOmpcSolver:
 
     The first row fixes ``d1``/``kappa1`` and the starting scale
     ``gamma = max p_kj / (d1 rho kappa1)``; afterwards every failed trial
-    doubles ``gamma`` and replays the row that broke it.  Rows satisfied in
-    earlier trials keep their coverage through the aggregate.
+    doubles ``gamma`` and replays the row that broke it, and a row offered
+    after ``finish`` resumes at the last trial's ``gamma``.  Rows satisfied
+    in earlier trials keep their coverage through the aggregate.
     """
 
     def __init__(self, system: PackingSystem):
@@ -239,9 +239,11 @@ class OnlineOmpcSolver:
 
     def offer(self, row: CoveringRow) -> None:
         """Process one covering row; ``x_total`` then covers it."""
-        if self._state is None:
-            self._first_row = row
+        if self._first_row is None:
             self._state = init_trial(self.system, start_scale(self.system, row), row)
+            self._first_row = row
+        elif self._state is None:
+            self._state = init_trial(self.system, self._records[-1].gamma, self._first_row)
         row_id = self._rows_offered
         self._rows_offered += 1
         while not process_constraint(self._state, row, row_id):
@@ -254,7 +256,6 @@ class OnlineOmpcSolver:
         st = self._state
         rec = TrialRecord(
             gamma=st.gamma,
-            lambda_f=st.lambda_value(),
             failed=st.failed,
             phases=sum(st.phases_per_row.values()),
             state=st,

@@ -317,6 +317,60 @@ def test_gamma_doubles_on_failure():
     assert not sol.trials[-1].failed
 
 
+def _heavy_instance():
+    """Two loaded facilities at the least Z that gives every client a
+    candidate: the first trial fails at client 49."""
+    inst = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    return inst, max(inst.entry_cost(j).min() for j in range(inst.n))
+
+
+def test_live_aggregate_holds_the_bits_of_the_sum_over_trials(monkeypatch):
+    # after every offer, x_aggregate is byte for byte the sum of every trial
+    # opened so far, added in order from zero; the seeded run closes a trial
+    # with finish half way, so it holds two trials as the heavy run does
+    opened = []
+
+    def recording_new_trial(*args, **kwargs):
+        opened.append(new_trial(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(ccfl, "new_trial", recording_new_trial)
+    seeded = gen_random_ccfl(4, 12, seed=5)
+    runs = [
+        (*_heavy_instance(), None),
+        (seeded, max(seeded.entry_cost(j).min() for j in range(seeded.n)), 6),
+    ]
+    for inst, z, finish_at in runs:
+        opened.clear()
+        solver = CcflFractionalSolver(inst, z)
+        for j in range(inst.n):
+            if j == finish_at:
+                solver.finish()
+            solver.offer(j)
+            expected = np.zeros((inst.m, inst.n))
+            for st in opened:
+                expected += st.x
+            assert solver.x_aggregate.tobytes() == expected.tobytes()
+        assert len(opened) >= 2
+        assert solver.finish().x.tobytes() == expected.tobytes()
+
+
+def test_gamma_never_drops_across_a_finish():
+    inst, z = _heavy_instance()
+    solver = CcflFractionalSolver(inst, z)
+    for j in range(50):
+        solver.offer(j)
+    first = solver.finish()
+    for j in range(50, inst.n):
+        solver.offer(j)
+    gammas = [st.gamma for st in solver.finish().trials]
+    assert [st.gamma for st in first.trials] == [1.0, 2.0]
+    assert gammas == [1.0, 2.0, 2.0]
+
+
 def test_cumulative_cost_dominates_aggregate_objective():
     for seed in (2, 7, 9):
         inst = gen_random_ccfl(4, 6, seed=seed)

@@ -7,6 +7,7 @@ from mixpc import (
     emit_instance,
     gen_random_ccfl,
     gen_random_ompc,
+    ompc_opt,
     parse_instance,
     solve_online,
 )
@@ -111,6 +112,26 @@ def test_opt_zero_is_checked_by_phase_count(tmp_path, capsys):
     )
     assert check_ompc_run(inst, planted, 0.0, "opt0") == [
         "opt0: trial 0 ran 1 phases at OPT 0"
+    ]
+
+
+def test_check_ompc_run_flags_doctored_violations():
+    # the two checks that read each trial's own violation, each set off by
+    # one doctored field of a run that passes
+    inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
+    sol = solve_online(inst.system, inst.rows)
+    opt = ompc_opt(inst.system, list(inst.rows)).value
+    assert check_ompc_run(inst, sol, opt, "run") == []
+    assert sol.trials[0].failed
+    low = dataclasses.replace(sol.trials[0], gamma=sol.trials[0].gamma / 10.0)
+    planted = dataclasses.replace(sol, trials=(low, *sol.trials[1:]))
+    assert check_ompc_run(inst, planted, opt, "run") == [
+        "run: trial 0 failed above the mu-step envelope"
+    ]
+    lam_sum = sum(rec.state.lambda_value() for rec in sol.trials)
+    planted = dataclasses.replace(sol, lambda_value=2.0 * lam_sum)
+    assert check_ompc_run(inst, planted, opt, "run") == [
+        "run: aggregate violation exceeds per-trial sum"
     ]
 
 
@@ -442,3 +463,58 @@ def test_cli_zero_cost_entry_is_an_input_error(tmp_path, capsys):
     assert main(["solve-ccfl", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert "client 0 has a zero-cost entry at facility 0" in err
+
+
+def _oracle_instance(kind, tmp_path):
+    inst = {
+        "ompc": gen_random_ompc(4, 6, 5, 0.6, (1.0, 3.0), seed=3),
+        "ccfl": gen_random_ccfl(3, 4, seed=6),
+    }[kind]
+    path = tmp_path / "inst.txt"
+    path.write_text(emit_instance(inst))
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, flags, message",
+    [
+        ("ompc", "--z 3", "--z and --brute apply only to an assignment instance"),
+        ("ompc", "--brute", "--z and --brute apply only to an assignment instance"),
+        ("ccfl", "--z nan", "--z must be finite, got nan"),
+        ("ccfl", "--z inf", "--z must be finite, got inf"),
+    ],
+)
+def test_cli_oracle_rejects_flags_it_would_ignore(kind, flags, message, tmp_path, capsys):
+    path = _oracle_instance(kind, tmp_path)
+    assert main(["oracle", "--instance", str(path), *flags.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["ompc", "ccfl"])
+def test_cli_oracle_z_and_brute_are_exclusive(kind, tmp_path, capsys):
+    path = _oracle_instance(kind, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--instance", str(path), "--z", "3", "--brute"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --brute: not allowed with argument --z" in captured.err
+
+
+@pytest.mark.parametrize("constant", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["solve-ccfl --bound-check", "round"])
+def test_cli_epoch_constant_must_be_finite_and_positive(
+    command, constant, tmp_path, capsys
+):
+    path = tmp_path / "ccfl.txt"
+    path.write_text(emit_instance(gen_random_ccfl(3, 4, seed=6)))
+    argv = [*command.split(), "--instance", str(path), "--epoch-constant", constant]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = repr(float(constant))
+    assert captured.err == (
+        f"input error: epoch constant must be finite and > 0, got {expected}\n"
+    )

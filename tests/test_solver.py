@@ -213,10 +213,29 @@ def test_gamma_doubles_between_trials_and_failure_envelope():
         assert a.failed
     for rec in sol.trials:
         if rec.failed:
-            tl_f = rec.lambda_f / rec.gamma
+            tl_f = rec.state.lambda_value() / rec.gamma
             assert tl_f >= 3.0 * math.log(E * m) - 1e-9
             assert tl_f <= 1.0 + 3.0 * math.log(E * m) + 1e-9
     assert not sol.trials[-1].failed
+
+
+def test_gamma_never_drops_across_a_finish():
+    # rows offered after finish continue at the last trial's scale, as one
+    # stream does, rather than taking a fresh start scale from row 8
+    inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
+    rows = list(inst.rows)
+    solver = OnlineOmpcSolver(inst.system)
+    for row in rows[:8]:
+        solver.offer(row)
+    first = solver.finish()
+    for row in rows[8:]:
+        solver.offer(row)
+    sol = solver.finish()
+    gammas = [rec.gamma for rec in sol.trials]
+    assert gammas == sorted(gammas)
+    assert len(gammas) > len(first.trials)
+    assert gammas[len(first.trials)] == first.trials[-1].gamma
+    assert all(row.coverage(sol.x_total) >= 1.0 - 1e-12 for row in rows)
 
 
 def test_kept_scaled_matrix_gives_the_same_solution():
@@ -240,7 +259,7 @@ def test_kept_scaled_matrix_gives_the_same_solution():
 def test_aggregate_lambda_bounded_by_trial_sum():
     inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
     sol = solve_online(inst.system, list(inst.rows))
-    assert sol.lambda_value <= sum(r.lambda_f for r in sol.trials) + 1e-9
+    assert sol.lambda_value <= sum(r.state.lambda_value() for r in sol.trials) + 1e-9
 
 
 def test_trial_bits_are_pinned():
