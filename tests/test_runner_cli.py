@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -31,6 +32,28 @@ REPORT_HEADER = (
 def strip_wall_time(csv_text: str) -> str:
     lines = csv_text.strip().splitlines()
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
+
+
+# sha256 of each suite CSV without its wall_time_s column, first 16 hex
+# digits; a change to a suite or its checks that moves an output shows here
+PINNED_SUITE_CSVS = [
+    ("ompc-adversary", None, {}, "13ebc95ef4112d2e"),
+    ("ompc-random", 0, {"count": 10}, "7aec9406b5b4a109"),
+    ("ompc-random", 11, {"count": 10}, "fa4feb246bd89db3"),
+    ("ccfl-random", 0, {"count": 3}, "45cf2b04af44db21"),
+    ("ccfl-random", 11, {"count": 3}, "8a4c7fa100574153"),
+    ("ccfl-mc", 0, {"reps": 2000}, "da3ce053574238f2"),
+    ("ccfl-mc", 11, {"reps": 2000}, "a6c3e8d1a337759c"),
+]
+
+
+@pytest.mark.parametrize("suite, seed, sizes, digest", PINNED_SUITE_CSVS)
+def test_suite_csv_is_pinned(suite, seed, sizes, digest):
+    seeded = {} if seed is None else {"seed": seed}
+    rep = run_experiment(ExperimentConfig(suite=suite, **seeded, **sizes))
+    assert rep.violations == []
+    csv_text = strip_wall_time(report_to_csv(rep))
+    assert hashlib.sha256(csv_text.encode()).hexdigest()[:16] == digest
 
 
 def test_suite_ompc_random_small_passes():
