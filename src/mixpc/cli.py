@@ -37,9 +37,16 @@ def _load(path: str):
         raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
-def _write_decision_log(fh, decision_log) -> None:
-    for rec in decision_log:
-        fh.write(json.dumps(rec) + "\n")
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc}") from None
+
+
+def _decision_log_text(decision_log) -> str:
+    return "".join(json.dumps(rec) + "\n" for rec in decision_log)
 
 
 def _exit_code(violations: list[str]) -> int:
@@ -74,8 +81,7 @@ def _cmd_adversary(args) -> int:
     print(f"lower_bound {result.lower_bound!r}")
     print(f"witness_violation {violation(result.system, witness)!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit_instance(inst))
+        _write(args.out, emit_instance(inst))
         print(f"instance -> {args.out}")
     if args.bound_check:
         label = f"adversary-m{args.m}-d{args.d}"
@@ -93,8 +99,7 @@ def _cmd_solve_ccfl(args) -> int:
     print(f"final_z {result.final_z!r}")
     print(f"per_epoch_total {result.per_epoch_total!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_decision_log(fh, result.decision_log)
+        _write(args.out, _decision_log_text(result.decision_log))
         print(f"decision log -> {args.out}")
     if args.bound_check:
         try:
@@ -117,10 +122,10 @@ def _cmd_round(args) -> int:
         print("round needs a facility/client instance", file=sys.stderr)
         return 2
     result = z_epochs(inst, seed=args.seed, epoch_constant=args.epoch_constant)
-    _write_decision_log(sys.stdout, result.decision_log)
+    log = _decision_log_text(result.decision_log)
+    sys.stdout.write(log)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_decision_log(fh, result.decision_log)
+        _write(args.out, log)
     return 0
 
 
@@ -158,11 +163,12 @@ def _cmd_suite(args) -> int:
         seed=args.seed,
         count=args.count,
         reps=args.reps,
-        out=args.out,
         bound_check=args.bound_check,
     )
     report = run_experiment(config)
-    if not args.out:
+    if args.out:
+        _write(args.out, report_to_csv(report))
+    else:
         sys.stdout.write(report_to_csv(report))
     return _exit_code(report.violations)
 
@@ -227,13 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
     guess.add_argument("--z", type=float, default=None, help="cost guess for opt1")
     guess.add_argument("--brute", action="store_true", help="brute-force total cost")
     p = command(
-        "suite", _cmd_suite, "--seed --out --bound-check", "run a named experiment suite"
+        "suite", _cmd_suite, "--out --bound-check", "run a named experiment suite"
     )
     p.add_argument(
         "--name",
         required=True,
         choices=("ompc-adversary", "ompc-random", "ccfl-random", "ccfl-mc"),
     )
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)
     return parser

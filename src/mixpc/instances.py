@@ -129,15 +129,19 @@ class _Lines:
         return self.at
 
 
-def _expect_int(lines: _Lines, key: str) -> int:
+def _expect_int(lines: _Lines, key: str, least: int = 0) -> int:
+    """The count on a ``key <count>`` header line, at least ``least``."""
     line = lines.next(f"'{key}' header")
     parts = line.split()
     if len(parts) != 2 or parts[0] != key:
         raise ParseError(lines.lineno, f"expected '{key} <count>', got {line!r}")
     try:
-        return int(parts[1])
+        count = int(parts[1])
     except ValueError:
         raise ParseError(lines.lineno, f"bad integer in {line!r}") from None
+    if count < least:
+        raise ParseError(lines.lineno, f"'{key}' must be at least {least}, got {count}")
+    return count
 
 
 def _covering_row(line: str, lineno: int, n: int) -> CoveringRow:
@@ -192,12 +196,17 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
     if kind_line not in ("kind ompc", "kind ccfl"):
         raise ParseError(lines.lineno, f"unknown kind in {kind_line!r}")
     kind = kind_line.split()[1]
-    m = _expect_int(lines, "m")
-    n = _expect_int(lines, "n")
+    m = _expect_int(lines, "m", 1)
+    n = _expect_int(lines, "n", 1)
 
     if kind == "ompc":
+        try:
+            matrix = np.zeros((m, n))
+        except (MemoryError, ValueError):
+            raise ParseError(
+                lines.lineno, f"cannot allocate a {m}x{n} packing matrix"
+            ) from None
         nnz = _expect_int(lines, "packing")
-        matrix = np.zeros((m, n))
         seen: set[tuple[int, int]] = set()
         for _ in range(nnz):
             line = lines.next("packing triplet")
@@ -236,9 +245,10 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
     count = _expect_int(lines, "facilities")
     if count != m:
         raise ParseError(lines.lineno, f"facilities count {count} != m {m}")
-    charges = np.zeros(m)
-    caps = np.zeros(m)
-    for i in range(m):
+    # filled line by line, so a count beyond the text ends at a missing line
+    # rather than at an allocation of m entries
+    charges, caps = [], []
+    for _ in range(m):
         line = lines.next("facility line")
         parts = line.split()
         if len(parts) != 2:
@@ -254,7 +264,9 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
             )
         if not (math.isfinite(c) and math.isfinite(u)):
             raise ParseError(lines.lineno, "facility parameters must be finite")
-        charges[i], caps[i] = c, u
+        charges.append(c)
+        caps.append(u)
+    charges, caps = np.array(charges), np.array(caps)
     count = _expect_int(lines, "clients")
     if count != n:
         raise ParseError(lines.lineno, f"clients count {count} != n {n}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adversary import (
-    RESPONDERS,
+    MpcResponder,
     TreeAdversaryResult,
     optimal_witness,
     tree_adversary,
@@ -178,7 +178,7 @@ def check_ompc_run(
 ) -> list[str]:
     """All bound checks for one solved stream; returns violation messages.
 
-    At ``OPT = 0`` no ratio holds.  Every covering row then holds a variable
+    At ``OPT = 0`` neither ratio holds.  Every covering row then holds a variable
     with an empty packing column, which the solver raises without running a
     phase, so each trial must have run none.
     """
@@ -214,6 +214,8 @@ def check_ompc_run(
     lam_sum = sum(lams)
     if solution.lambda_value > lam_sum * (1 + 1e-9) + 1e-12:
         out.append(f"{label}: aggregate violation exceeds per-trial sum")
+    if opt_value != 0.0 and solution.lambda_value / opt_value < 1.0 - 1e-9:
+        out.append(f"{label}: online beat the oracle")
     return out
 
 
@@ -269,6 +271,8 @@ def check_ccfl_run(
                 f"{label}: trial {t} weak duality {weak} > OPT1/gamma "
                 f"{opt1_value / st.gamma}"
             )
+    if opt1_value < zz * (1 - 1e-9):
+        out.append(f"{label}: OPT1 below Z")
     return out
 
 
@@ -295,45 +299,27 @@ def check_adversary_run(
 # ---------------------------------------------------------------------------
 
 
-def suite_ompc_adversary(
-    ms: tuple[int, ...] = (4, 8, 16),
-    ds: tuple[int, ...] = (8, 16),
-    seed: int = 0,
-    algorithm: str = "mpc",
-    with_checks: bool = True,
-) -> ExperimentReport:
-    """Tree-adversary grid; checks the witness and the forced lower bound."""
-    if algorithm not in RESPONDERS:
-        raise ValueError(f"unknown adversary algorithm {algorithm!r}")
+def suite_ompc_adversary() -> ExperimentReport:
+    """The online solver against the tree adversary on a fixed grid; checks
+    the witness, the forced lower bound and the solver's own bounds."""
     report = ExperimentReport()
-    for m in ms:
-        for d in ds:
+    for m in (4, 8, 16):
+        for d in (8, 16):
             t0 = time.perf_counter()
-            result = tree_adversary(m, d, RESPONDERS[algorithm])
+            result = tree_adversary(m, d, MpcResponder)
             witness = optimal_witness(result)
-            lam = result.algorithm_value()
             label = f"adversary-m{m}-d{d}"
             inst = OmpcInstance(result.system, result.transcript)
             opt_val = ompc_opt(result.system, list(result.transcript)).value
-            ratio = lam / opt_val
-            if with_checks:
-                report.violations.extend(check_adversary_run(result, witness, label))
-                if ratio < 1.0 - 1e-9:
-                    report.violations.append(f"{label}: online beat the oracle")
-            phases = trials = None
-            if algorithm == "mpc":
-                sol = result.responder.solver.finish()
-                phases = sum(rec.phases for rec in sol.trials)
-                trials = len(sol.trials)
-                if with_checks:
-                    report.violations.extend(
-                        check_ompc_run(inst, sol, opt_val, label)
-                    )
+            sol = result.responder.solver.finish()
+            report.violations.extend(check_adversary_run(result, witness, label))
+            report.violations.extend(check_ompc_run(inst, sol, opt_val, label))
+            lam = result.algorithm_value()
             report.records.append(
                 ExperimentRecord(
                     instance=label,
-                    seed=seed,
-                    algorithm=algorithm,
+                    seed=0,
+                    algorithm="mpc",
                     m=m,
                     n=result.system.n,
                     d=inst.d,
@@ -342,10 +328,10 @@ def suite_ompc_adversary(
                     sigma=ompc_sigma(inst),
                     online=lam,
                     oracle=opt_val,
-                    ratio=ratio,
+                    ratio=lam / opt_val,
                     bound=result.lower_bound,
-                    phases=phases,
-                    trials=trials,
+                    phases=sum(rec.phases for rec in sol.trials),
+                    trials=len(sol.trials),
                     witness=violation(result.system, witness),
                     wall_time_s=time.perf_counter() - t0,
                 )
@@ -364,9 +350,7 @@ def _ompc_random_instance(seed: int, index: int) -> tuple[OmpcInstance, dict]:
     return inst, {"m": g_m, "n": g_n, "rows": g_rows}
 
 
-def suite_ompc_random(
-    count: int = 50, seed: int = 0, with_checks: bool = True
-) -> ExperimentReport:
+def suite_ompc_random(count: int = 50, seed: int = 0) -> ExperimentReport:
     """Seeded random streams solved online and compared to the simplex."""
     report = ExperimentReport()
     for idx in range(count):
@@ -375,11 +359,7 @@ def suite_ompc_random(
         sol = solve_online(inst.system, inst.rows)
         opt = ompc_opt(inst.system, list(inst.rows))
         label = f"ompc-random-{idx}"
-        ratio = sol.lambda_value / opt.value
-        if with_checks:
-            report.violations.extend(check_ompc_run(inst, sol, opt.value, label))
-            if ratio < 1.0 - 1e-9:
-                report.violations.append(f"{label}: online beat the oracle")
+        report.violations.extend(check_ompc_run(inst, sol, opt.value, label))
         report.records.append(
             ExperimentRecord(
                 instance=label,
@@ -393,7 +373,7 @@ def suite_ompc_random(
                 sigma=ompc_sigma(inst),
                 online=sol.lambda_value,
                 oracle=opt.value,
-                ratio=ratio,
+                ratio=sol.lambda_value / opt.value,
                 bound=ompc_bound(inst),
                 phases=sum(rec.phases for rec in sol.trials),
                 trials=len(sol.trials),
@@ -409,9 +389,7 @@ def _ccfl_random_instance(seed: int, index: int) -> CcflInstance:
     return gen_random_ccfl(m, n, seed=seed + index)
 
 
-def suite_ccfl_random(
-    count: int = 25, seed: int = 0, with_checks: bool = True
-) -> ExperimentReport:
+def suite_ccfl_random(count: int = 25, seed: int = 0) -> ExperimentReport:
     """Random assignment instances at the brute-forced optimal cost guess."""
     report = ExperimentReport()
     for idx in range(count):
@@ -421,16 +399,10 @@ def suite_ccfl_random(
         opt1 = ccfl_opt1(inst, zstar)
         label = f"ccfl-random-{idx}"
         if opt1.status != "optimal":
-            if with_checks:
-                report.violations.append(f"{label}: oracle returned {opt1.status}")
+            report.violations.append(f"{label}: oracle returned {opt1.status}")
             continue
         sol = gamma_trials(inst, zstar)
-        if with_checks:
-            report.violations.extend(
-                check_ccfl_run(inst, sol, opt1.objective, label)
-            )
-            if opt1.objective < zstar * (1 - 1e-9):
-                report.violations.append(f"{label}: OPT1 below Z")
+        report.violations.extend(check_ccfl_run(inst, sol, opt1.objective, label))
         report.records.append(
             ExperimentRecord(
                 instance=label,
@@ -499,11 +471,7 @@ def check_mc_stats(stats: McRoundingStats) -> list[str]:
 
 
 def suite_ccfl_mc(
-    reps: int = 100_000,
-    seed: int = 0,
-    m: int = 5,
-    n: int = 20,
-    with_checks: bool = True,
+    reps: int = 100_000, seed: int = 0, m: int = 5, n: int = 20
 ) -> tuple[ExperimentReport, McRoundingStats]:
     """Monte-Carlo rounding statistics on one frozen fractional solution."""
     inst = _mc_instance(m, n, seed)
@@ -520,9 +488,7 @@ def suite_ccfl_mc(
         y_per_client[j] = openness(inst, x, z_value)
     t0 = time.perf_counter()
     stats = mc_rounding(inst, x_per_client, y_per_client, z_value, reps, seed)
-    report = ExperimentReport()
-    if with_checks:
-        report.violations.extend(check_mc_stats(stats))
+    report = ExperimentReport(violations=check_mc_stats(stats))
     report.records.append(
         ExperimentRecord(
             instance=f"ccfl-mc-m{m}-n{n}",
@@ -549,39 +515,38 @@ def suite_ccfl_mc(
 @dataclass
 class ExperimentConfig:
     suite: str
-    seed: int = 0
+    seed: int | None = None
     count: int | None = None
     reps: int | None = None
-    out: str | None = None
     bound_check: bool = True
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a suite by name and optionally write its CSV report.
+    """Run a suite by name; its violations count only with ``bound_check``.
 
-    ``count`` and ``reps`` left at ``None`` take the suite's own default; a
-    value below 1, or one the suite does not read, raises ``ValueError``.
+    ``seed``, ``count`` and ``reps`` left at ``None`` take the suite's own
+    default.  A flag the suite does not read, or a size below 1, raises
+    ``ValueError`` before the suite runs.
     """
-    suites = {  # each suite with the size flags it reads
+    suites = {  # each suite with the flags it reads
         "ompc-adversary": (suite_ompc_adversary, ()),
-        "ompc-random": (suite_ompc_random, ("count",)),
-        "ccfl-random": (suite_ccfl_random, ("count",)),
-        "ccfl-mc": (suite_ccfl_mc, ("reps",)),
+        "ompc-random": (suite_ompc_random, ("seed", "count")),
+        "ccfl-random": (suite_ccfl_random, ("seed", "count")),
+        "ccfl-mc": (suite_ccfl_mc, ("seed", "reps")),
     }
     if config.suite not in suites:
         raise ValueError(f"unknown suite {config.suite!r}")
     run, reads = suites[config.suite]
-    given = {"count": config.count, "reps": config.reps}
-    sizes = {flag: value for flag, value in given.items() if value is not None}
-    for flag, value in sizes.items():
+    given = {"seed": config.seed, "count": config.count, "reps": config.reps}
+    flags = {flag: value for flag, value in given.items() if value is not None}
+    for flag, value in flags.items():
         if flag not in reads:
             raise ValueError(f"suite {config.suite} does not read --{flag}")
-        if value < 1:
+        if flag != "seed" and value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
-    report = run(seed=config.seed, with_checks=config.bound_check, **sizes)
+    report = run(**flags)
     if config.suite == "ccfl-mc":
         report, _ = report
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(report_to_csv(report))
+    if not config.bound_check:
+        report.violations.clear()
     return report

@@ -332,3 +332,52 @@ def test_ompc_text_round_trip_is_exact(inst):
     for a, b in zip(back.rows, inst.rows):
         assert a.indices.tobytes() == b.indices.tobytes()
         assert a.values.tobytes() == b.values.tobytes()
+
+
+# -- header counts -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doc, lineno, message",
+    [
+        ("kind ompc\nm 0\nn 2\n", 3, "'m' must be at least 1, got 0"),
+        ("kind ompc\nm -3\nn 2\n", 3, "'m' must be at least 1, got -3"),
+        ("kind ccfl\nm 2\nn 0\n", 4, "'n' must be at least 1, got 0"),
+        (
+            "kind ompc\nm 2\nn 2\npacking -5\ncovering 1\n0:1.0\nend\n",
+            5,
+            "'packing' must be at least 0, got -5",
+        ),
+        (
+            "kind ompc\nm 1\nn 1\npacking 1\n0 0 1.0\ncovering -1\nend\n",
+            7,
+            "'covering' must be at least 0, got -1",
+        ),
+        (
+            "kind ccfl\nm 2\nn 2\nfacilities -2\n",
+            5,
+            "'facilities' must be at least 0, got -2",
+        ),
+        (
+            "kind ccfl\nm 1\nn 1\nfacilities 1\n1.0 1.0\nclients -1\nend\n",
+            7,
+            "'clients' must be at least 0, got -1",
+        ),
+        # never allocatable: 10^14 float64 entries
+        (
+            "kind ompc\nm 10000000\nn 10000000\npacking 0\n",
+            4,
+            "cannot allocate a 10000000x10000000 packing matrix",
+        ),
+        # a facility count beyond the text ends at the first missing line
+        (
+            "kind ccfl\nm 10000000000000\nn 2\nfacilities 10000000000000\n1.0 1.0\n",
+            6,
+            "missing facility line",
+        ),
+    ],
+)
+def test_bad_header_count_names_its_own_line(doc, lineno, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance("mixpc-instance v1\n" + doc)
+    assert str(err.value) == f"line {lineno}: {message}"

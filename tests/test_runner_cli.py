@@ -5,7 +5,10 @@ import json
 import pytest
 
 from mixpc import (
+    brute_force_zstar,
+    ccfl_opt1,
     emit_instance,
+    gamma_trials,
     gen_random_ccfl,
     gen_random_ompc,
     ompc_opt,
@@ -16,6 +19,7 @@ from mixpc import cli
 from mixpc.cli import main
 from mixpc.runner import (
     ExperimentConfig,
+    check_ccfl_run,
     check_ompc_run,
     report_to_csv,
     run_experiment,
@@ -65,12 +69,16 @@ def test_suite_ompc_random_small_passes():
         assert rec.online <= rec.bound * rec.oracle * (1 + 1e-9)
 
 
-def test_suite_ompc_adversary_uniform_small():
-    rep = suite_ompc_adversary(ms=(2,), ds=(2,), algorithm="uniform")
+def test_suite_ompc_adversary_reaches_the_forced_bound():
+    rep = suite_ompc_adversary()
     assert rep.passed, rep.violations
-    rec = rep.records[0]
-    assert rec.witness == 1.0
-    assert rec.online >= rec.bound - 1e-12
+    assert [rec.instance for rec in rep.records] == [
+        f"adversary-m{m}-d{d}" for m in (4, 8, 16) for d in (8, 16)
+    ]
+    for rec in rep.records:
+        assert (rec.seed, rec.algorithm) == (0, "mpc")
+        assert rec.witness == 1.0
+        assert rec.online >= rec.bound - 1e-12
 
 
 def test_report_determinism_modulo_wall_time():
@@ -88,13 +96,9 @@ def test_run_experiment_dispatch_and_unknown():
 
 
 def test_online_never_beats_oracle_across_suites():
-    for rep in (
-        suite_ompc_random(count=3, seed=7),
-        suite_ompc_adversary(ms=(2, 4), ds=(2,), algorithm="uniform"),
-    ):
+    for rep in (suite_ompc_random(count=3, seed=7), suite_ompc_adversary()):
         for rec in rep.records:
-            if rec.ratio is not None:
-                assert rec.ratio >= 1.0 - 1e-9
+            assert rec.ratio >= 1.0 - 1e-9
 
 
 def test_cli_solve_ompc_roundtrip(tmp_path, capsys):
@@ -129,6 +133,8 @@ def test_opt_zero_is_checked_by_phase_count(tmp_path, capsys):
     assert out.err == ""
     inst = parse_instance(OMPC_OPT_ZERO)
     sol = solve_online(inst.system, inst.rows)
+    # a ratio to OPT would divide 1.0 by 0.0 here
+    assert sol.lambda_value == 1.0
     assert check_ompc_run(inst, sol, 0.0, "opt0") == []
     planted = dataclasses.replace(
         sol, trials=(dataclasses.replace(sol.trials[0], phases=1),)
@@ -156,6 +162,35 @@ def test_check_ompc_run_flags_doctored_violations():
     assert check_ompc_run(inst, planted, opt, "run") == [
         "run: aggregate violation exceeds per-trial sum"
     ]
+    assert check_ompc_run(inst, sol, 2.0 * sol.lambda_value, "run") == [
+        "run: online beat the oracle"
+    ]
+
+
+def test_check_ccfl_run_flags_opt1_below_z():
+    inst = gen_random_ccfl(3, 4, seed=6)
+    zstar = brute_force_zstar(inst)
+    sol = gamma_trials(inst, zstar)
+    assert sol.z_value == zstar
+    assert check_ccfl_run(inst, sol, ccfl_opt1(inst, zstar).objective, "run") == []
+    assert check_ccfl_run(inst, sol, 0.999 * zstar, "run") == ["run: OPT1 below Z"]
+
+
+def test_cli_solve_ompc_bound_check_flags_online_below_the_oracle(
+    tmp_path, monkeypatch, capsys
+):
+    inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
+    lam = solve_online(inst.system, inst.rows).lambda_value
+    real = cli.ompc_opt
+
+    def above_online(system, rows):
+        return dataclasses.replace(real(system, rows), value=2.0 * lam)
+
+    monkeypatch.setattr(cli, "ompc_opt", above_online)
+    path = tmp_path / "inst.txt"
+    path.write_text(emit_instance(inst))
+    assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 1
+    assert capsys.readouterr().err == f"VIOLATION {path}: online beat the oracle\n"
 
 
 # OPT = 0, but the simplex's objective came back as -3.5e-18 (A) and
@@ -320,36 +355,30 @@ def test_cli_suite_smoke(tmp_path):
     assert len(text.strip().splitlines()) == 3
 
 
-def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("bound check ran with bound_check=False")
-
-    suites = {"ompc-random": 1, "ccfl-random": 1, "ompc-adversary": 6, "ccfl-mc": 1}
-    sizes = {
-        "ompc-random": {"count": 1},
-        "ccfl-random": {"count": 1},
+def test_run_experiment_drops_violations_when_bound_check_off(monkeypatch):
+    configs = {
+        "ompc-random": {"seed": 1, "count": 1},
+        "ccfl-random": {"seed": 1, "count": 1},
         "ompc-adversary": {},
-        "ccfl-mc": {"reps": 200},
+        "ccfl-mc": {"seed": 1, "reps": 200},
     }
-    checked = {
-        suite: run_experiment(ExperimentConfig(suite=suite, seed=1, **sizes[suite]))
-        for suite in suites
+    clean = {
+        suite: report_to_csv(run_experiment(ExperimentConfig(suite=suite, **flags)))
+        for suite, flags in configs.items()
     }
-    monkeypatch.setattr("mixpc.runner.check_ompc_run", refuse)
-    monkeypatch.setattr("mixpc.runner.check_ccfl_run", refuse)
-    monkeypatch.setattr("mixpc.runner.check_adversary_run", refuse)
-    monkeypatch.setattr("mixpc.runner.check_mc_stats", refuse)
-    for suite, records in suites.items():
-        rep = run_experiment(
-            ExperimentConfig(
-                suite=suite, seed=1, bound_check=False, **sizes[suite]
-            )
-        )
-        assert len(rep.records) == records
-        assert rep.passed
-        assert strip_wall_time(report_to_csv(rep)) == strip_wall_time(
-            report_to_csv(checked[suite])
-        )
+    for check in (
+        "check_ompc_run",
+        "check_ccfl_run",
+        "check_adversary_run",
+        "check_mc_stats",
+    ):
+        monkeypatch.setattr(f"mixpc.runner.{check}", lambda *args: ["planted"])
+    for suite, flags in configs.items():
+        checked = run_experiment(ExperimentConfig(suite=suite, **flags))
+        assert set(checked.violations) == {"planted"}
+        rep = run_experiment(ExperimentConfig(suite=suite, bound_check=False, **flags))
+        assert rep.violations == []
+        assert strip_wall_time(report_to_csv(rep)) == strip_wall_time(clean[suite])
 
 
 @pytest.mark.parametrize(
@@ -364,6 +393,7 @@ def test_run_experiment_skips_checks_when_bound_check_off(monkeypatch):
         ("--name ompc-adversary --count 2", "suite ompc-adversary does not read --count"),
         ("--name ompc-adversary --reps 2", "suite ompc-adversary does not read --reps"),
         ("--name ccfl-mc --count 2", "suite ccfl-mc does not read --count"),
+        ("--name ompc-adversary --seed 2", "suite ompc-adversary does not read --seed"),
     ],
 )
 def test_cli_suite_rejects_sizes_it_would_replace_or_ignore(
@@ -407,6 +437,26 @@ def test_cli_rejects_options_the_command_does_not_read(
         main([command, *required, *option.split()])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option.split()[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "suite --name ompc-random --count 1",
+        "adversary --m 2 --d 2",
+        "solve-ccfl --instance ccfl.txt",
+        "round --instance ccfl.txt",
+    ],
+)
+def test_cli_unwritable_out_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ccfl.txt").write_text(emit_instance(gen_random_ccfl(3, 4, seed=6)))
+    out = tmp_path / "missing" / "out.txt"
+    assert main([*argv.split(), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 ZERO_COST_CCFL = """mixpc-instance v1
