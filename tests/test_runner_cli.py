@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -174,6 +175,51 @@ def test_check_ccfl_run_flags_opt1_below_z():
     assert sol.z_value == zstar
     assert check_ccfl_run(inst, sol, ccfl_opt1(inst, zstar).objective, "run") == []
     assert check_ccfl_run(inst, sol, 0.999 * zstar, "run") == ["run: OPT1 below Z"]
+
+
+def test_check_ccfl_run_flags_doctored_dual_families():
+    # each dual family and weak duality, set off by one doctored field of the
+    # failed first trial of a run that passes; that trial's last clients
+    # never entered
+    heavy = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    z = max(heavy.entry_cost(j).min() for j in range(heavy.n))
+    sol = gamma_trials(heavy, z)
+    opt1 = ccfl_opt1(heavy, z).objective
+    assert check_ccfl_run(heavy, sol, opt1, "run") == []
+    first = sol.trials[0]
+    assert first.failed and not first.x[:, -1].any()
+
+    def check(**doctored):
+        trial = dataclasses.replace(first, **doctored)
+        planted = dataclasses.replace(sol, trials=(trial, *sol.trials[1:]))
+        return check_ccfl_run(heavy, planted, opt1, "run")
+
+    assert check(alpha=10.0 * first.alpha) == [
+        "run: trial 0 dual family-1 infeasible (0.0015159919587583864)"
+    ]
+    assert check(eta=100.0 * first.eta) == ["run: trial 0 dual family-3 infeasible"]
+    assert check(chi=100.0 * first.chi) == ["run: trial 0 dual family-3 infeasible"]
+    # chi and eta cancel out of family 2; a smaller nu = 1 + ln(mn) + max
+    # scaled violation inflates its beta and gamma terms past c
+    assert check(max_scaled_violation=-math.log(heavy.m * heavy.n) - 0.5) == [
+        "run: trial 0 dual family-3 infeasible",
+        "run: trial 0 dual family-2 infeasible",
+    ]
+    assert check(gamma=1000.0 * first.gamma) == [
+        "run: trial 0 dual family-1 infeasible (8.846585461262663)",
+        "run: trial 0 weak duality 0.2719128938837373 > OPT1/gamma "
+        "0.11234538820002483",
+    ]
+    # family 1 is taken on entered pairs only; weak duality sums every client
+    alpha = first.alpha.copy()
+    alpha[-1] = 1e6
+    assert check(alpha=alpha) == [
+        "run: trial 0 weak duality 214.15010342870164 > OPT1/gamma "
+        "112.34538820002483"
+    ]
 
 
 def test_cli_solve_ompc_bound_check_flags_online_below_the_oracle(
