@@ -19,7 +19,7 @@ with fresh variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -193,10 +193,10 @@ class CcflTrialState:
     chi: np.ndarray  # (m, n) running softmax maxima, assignment term
     eta: np.ndarray  # (m,) running softmax maxima, congestion term
     alpha: np.ndarray  # (n,) dual per client
-    z_ratio_log: dict[tuple[int, int], float] = field(default_factory=dict)
+    z_ratio_log: np.ndarray  # (m, n) ln(z_i(j) / z_i(j-1)), 0 off entered pairs
+    phases_per_client: np.ndarray  # (n,) int64; 0 until the client enters
     max_scaled_violation: float = 0.0
     failed: bool = False
-    phases_per_client: dict[int, int] = field(default_factory=dict)
     min_pd_gap: float = math.inf  # least per-phase dual minus cost increase
 
     @property
@@ -217,6 +217,8 @@ def new_trial(instance: CcflInstance, z_value: float, gamma: float) -> CcflTrial
         chi=np.zeros((m, n)),
         eta=np.zeros(m),
         alpha=np.zeros(n),
+        z_ratio_log=np.zeros((m, n)),
+        phases_per_client=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -314,9 +316,11 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
 
     state.x[fac, j] = x_j
     state.chi[fac, j] = chi_j
-    # z_i(j) / z_i(j-1): each candidate's row maximum over the one before j
-    for i, ratio in zip(fac.tolist(), (state.rowmax[fac] / z_before).tolist()):
-        state.z_ratio_log[(i, j)] = math.log(ratio)
+    # z_i(j) / z_i(j-1): each candidate's row maximum over the one before j;
+    # math.log, not np.log, which differs in the last bit on some ratios
+    state.z_ratio_log[fac, j] = [
+        math.log(r) for r in (state.rowmax[fac] / z_before).tolist()
+    ]
     if status == _kernels.FAILED:
         state.failed = True
         return False
@@ -331,7 +335,7 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
 @dataclass(frozen=True)
 class CcflDualCertificate:
     alpha: np.ndarray  # scaled, per client
-    beta: dict[tuple[int, int], float]  # scaled, per (facility, client)
+    beta: np.ndarray  # scaled, per (facility, client); 0 off entered pairs
     gamma_: np.ndarray  # scaled, per facility
     delta: np.ndarray  # scaled, per facility
 
@@ -351,18 +355,12 @@ def ccfl_dual_certificate(state: CcflTrialState) -> CcflDualCertificate:
     zz = state.z_value
     c = inst.fixed_charge
     nu = 1.0 + math.log(inst.m * inst.n) + state.max_scaled_violation
-    chi_sum = np.zeros(inst.m)
-    beta_scaled: dict[tuple[int, int], float] = {}
-    for (i, j), lr in state.z_ratio_log.items():
-        chi_ij = state.chi[i, j]
-        chi_sum[i] += chi_ij
-        raw = zz * chi_ij * sig / (2.0 * _E**2) + c[i] * lr
-        beta_scaled[(i, j)] = raw * _E**2 / (nu * sig)
+    beta_raw = zz * state.chi * sig / (2.0 * _E**2) + c[:, None] * state.z_ratio_log
     gamma_raw = (state.eta + c / zz) * sig / (2.0 * _E**2)
-    delta_raw = zz * (chi_sum + state.eta) * sig / (2.0 * _E**2)
+    delta_raw = zz * (state.chi.sum(axis=1) + state.eta) * sig / (2.0 * _E**2)
     return CcflDualCertificate(
         alpha=state.alpha / (nu * sig),
-        beta=beta_scaled,
+        beta=beta_raw * _E**2 / (nu * sig),
         gamma_=gamma_raw * _E**2 / (nu * sig),
         delta=delta_raw * _E**2 / (nu * sig),
     )
@@ -397,7 +395,7 @@ class CcflFractionalSolver:
         self.x_aggregate[:, j] += self.state.x[:, j]
 
     def finish(self) -> "CcflFractionalSolution":
-        if self.state.phases_per_client:
+        if self.state.phases_per_client.any():
             self._records.append(self.state)
             self.state = new_trial(self.instance, self.z_value, self.state.gamma)
         cost = 0.0

@@ -264,8 +264,10 @@ def test_dual_certificate_families_and_weak_duality():
         for st in sol.trials:
             cert = ccfl_dual_certificate(st)
             assert float(cert.delta.sum()) <= zstar * (1 + 1e-9)
+            assert not cert.beta[st.x == 0].any()
             by_fac = np.zeros(inst.m)
-            for (i, j), b in cert.beta.items():
+            for i, j in np.argwhere(st.x > 0).tolist():
+                b = cert.beta[i, j]
                 by_fac[i] += b
                 lhs = (
                     st.gamma * cert.alpha[j]
@@ -458,7 +460,10 @@ def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
         untouched = np.ones(st.instance.m, dtype=np.bool_)
         untouched[list(tr.rowmax)] = False
         assert not st.rowmax[untouched].any()
-        assert list(st.z_ratio_log.items()) == list(tr.z_ratio_log.items())
+        ratio_log = np.zeros_like(st.z_ratio_log)
+        for (i, j), v in tr.z_ratio_log.items():
+            ratio_log[i, j] = v
+        assert np.array_equal(st.z_ratio_log, ratio_log)
         return ok
 
     monkeypatch.setattr(_kernels, "ccfl_client_phases", traced_kernel)
@@ -484,14 +489,15 @@ def test_tie_flags_and_running_maxima_match_the_set_tracker(monkeypatch):
 
 def _ratio_digest(st) -> str:
     text = ";".join(
-        f"{i},{j},{v.hex()}" for (i, j), v in sorted(st.z_ratio_log.items())
+        f"{i},{j},{st.z_ratio_log[i, j].hex()}"
+        for i, j in np.argwhere(st.x > 0).tolist()
     )
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_gamma_trials_bits_are_pinned():
     # pinned bits, per trial: gamma, max scaled violation, a digest of the
-    # sorted z ratio log and its size; a change that moves any of them must
+    # z ratio log on the entered pairs and their count; a change that moves any of them must
     # say why
     heavy = gen_random_ccfl(
         2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
@@ -518,7 +524,12 @@ def test_gamma_trials_bits_are_pinned():
         sol = gamma_trials(inst, z)
         assert sol.cumulative_cost.hex() == cost
         got = [
-            (st.gamma, st.max_scaled_violation.hex(), _ratio_digest(st), len(st.z_ratio_log))
+            (
+                st.gamma,
+                st.max_scaled_violation.hex(),
+                _ratio_digest(st),
+                int((st.x > 0).sum()),
+            )
             for st in sol.trials
         ]
         assert got == trials

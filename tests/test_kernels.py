@@ -528,7 +528,7 @@ def test_gamma_trials_agree_with_the_loop_kernel(monkeypatch):
         for st, rt in zip(got.trials, ref.trials):
             assert st.gamma == rt.gamma
             assert st.failed == rt.failed
-            assert st.phases_per_client == rt.phases_per_client
+            assert np.array_equal(st.phases_per_client, rt.phases_per_client)
             # the same variables hold their facility's maximum
             assert np.array_equal(st.x == st.rowmax[:, None], rt.x == rt.rowmax[:, None])
             np.testing.assert_allclose(st.rowmax, rt.rowmax, rtol=1e-12)
