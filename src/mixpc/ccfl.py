@@ -88,6 +88,27 @@ class CcflClient:
             raise ValueError("client parameters must be finite")
 
 
+def check_entry_costs(j: int, fixed_charge: np.ndarray, client: CcflClient) -> None:
+    """Reject client j when ``init_client`` cannot scale its entry costs.
+
+    Each entry starts at the least entry cost over its own: 0/0 for an entry
+    of cost 0, and no finite ratio when the costs span beyond floats.
+    """
+    with np.errstate(over="ignore"):  # a sum beyond floats fails the ratio test
+        ec = fixed_charge[client.facilities] + client.demand + client.assign_cost
+    free = ec == 0.0
+    if free.any():
+        raise ValueError(
+            f"client {j} has a zero-cost entry at facility "
+            f"{int(client.facilities[free][0])}"
+        )
+    lo, hi = float(ec.min()), float(ec.max())
+    if not math.isfinite(hi / lo):
+        raise ValueError(
+            f"client {j} entry costs span {lo:g} to {hi:g}; max/min must be finite"
+        )
+
+
 @dataclass(frozen=True)
 class CcflInstance:
     """Facilities plus the ordered client stream (length known up front)."""
@@ -113,14 +134,12 @@ class CcflInstance:
         for j, cl in enumerate(self.clients):
             if cl.facilities[0] < 0 or cl.facilities[-1] >= c.size:  # sorted
                 raise ValueError("client references unknown facility")
-            # init_client scales each entry by the least entry cost, which
-            # is 0/0 for an entry of cost 0
-            free = c[cl.facilities] + cl.demand + cl.assign_cost == 0.0
-            if free.any():
-                raise ValueError(
-                    f"client {j} has a zero-cost entry at facility "
-                    f"{int(cl.facilities[free][0])}"
-                )
+            check_entry_costs(j, c, cl)
+        # a finite rho may still put 2 mu m n rho, and so every bound, at inf
+        if not math.isfinite(self.sigma):
+            raise ValueError(
+                f"entry-cost spread rho {self.rho:g} puts sigma beyond floats"
+            )
 
     @property
     def m(self) -> int:

@@ -17,14 +17,16 @@ from .ccfl import CcflInstance
 from .core import violation
 from .instances import OmpcInstance, emit_instance, parse_instance
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
-from .rounding import DEFAULT_EPOCH_CONSTANT, epoch_budget, z_epochs
+from .rounding import DEFAULT_EPOCH_CONSTANT, z_epochs
 from .runner import (
     ExperimentConfig,
     check_adversary_run,
     check_ompc_run,
+    check_z_epochs_run,
     ompc_bound,
     report_to_csv,
     run_experiment,
+    z_epochs_bound,
 )
 from .solver import solve_online, start_point, start_scale
 
@@ -107,12 +109,9 @@ def _cmd_solve_ccfl(args) -> int:
         except ValueError:
             print("bound-check skipped: instance beyond brute-force guard")
             return 0
-        cap = 4.0 * epoch_budget(inst, zstar, args.epoch_constant)
         print(f"zstar {zstar!r}")
-        print(f"bound {cap!r}")
-        if result.per_epoch_total > cap:
-            print("VIOLATION integral cost above the epoch budget", file=sys.stderr)
-            return 1
+        print(f"bound {z_epochs_bound(inst, zstar, result.epoch_constant)!r}")
+        return _exit_code(check_z_epochs_run(inst, result, zstar, args.instance))
     return 0
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ccfl import CcflClient, CcflInstance
+from .ccfl import CcflClient, CcflInstance, check_entry_costs
 from .core import CoveringRow, PackingSystem
 from .rng import rng_for
 
@@ -196,8 +196,9 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
     if kind_line not in ("kind ompc", "kind ccfl"):
         raise ParseError(lines.lineno, f"unknown kind in {kind_line!r}")
     kind = kind_line.split()[1]
-    m = _expect_int(lines, "m", 1)
-    n = _expect_int(lines, "n", 1)
+    least = 2 if kind == "ccfl" else 1  # CcflInstance needs 2 of each
+    m = _expect_int(lines, "m", least)
+    n = _expect_int(lines, "n", least)
 
     if kind == "ompc":
         try:
@@ -287,14 +288,14 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
         if any(i < 0 or i >= m for i in fac):
             raise ParseError(lines.lineno, "facility id out of range")
         try:
-            clients.append(
-                CcflClient(
-                    facilities=np.array(fac, dtype=np.int64),
-                    demand=np.array(raw) / caps[np.array(fac, dtype=np.int64)],
-                    raw_demand=np.array(raw),
-                    assign_cost=np.array(ac),
-                )
+            client = CcflClient(
+                facilities=np.array(fac, dtype=np.int64),
+                demand=np.array(raw) / caps[np.array(fac, dtype=np.int64)],
+                raw_demand=np.array(raw),
+                assign_cost=np.array(ac),
             )
+            check_entry_costs(len(clients), charges, client)
+            clients.append(client)
         except ValueError as exc:
             raise ParseError(lines.lineno, str(exc)) from None
     if lines.next("end marker") != "end":

@@ -31,7 +31,7 @@ from .ccfl import (
 from .core import violation
 from .instances import OmpcInstance, gen_random_ccfl, gen_random_ompc
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
-from .rounding import McRoundingStats, mc_rounding
+from .rounding import McRoundingStats, ZEpochsResult, epoch_budget, mc_rounding
 from .solver import dual_certificate, mu_for, solve_online
 
 __all__ = [
@@ -44,8 +44,10 @@ __all__ = [
     "ompc_phase_budget",
     "ompc_bound",
     "ccfl_bound",
+    "z_epochs_bound",
     "check_ompc_run",
     "check_ccfl_run",
+    "check_z_epochs_run",
     "check_adversary_run",
     "check_mc_stats",
     "suite_ompc_adversary",
@@ -153,6 +155,11 @@ def ccfl_bound(instance: CcflInstance) -> float:
     """Fractional cost ratio ``8 sigma (1 + 6 ln(e m n))`` against OPT1."""
     log_emn = math.log(_E * instance.m * instance.n)
     return 8.0 * instance.sigma * (1.0 + 6.0 * log_emn)
+
+
+def z_epochs_bound(instance: CcflInstance, zstar: float, constant: float) -> float:
+    """Integral cost cap ``4 * epoch_budget`` at the optimal cost guess."""
+    return 4.0 * epoch_budget(instance, zstar, constant)
 
 
 def _ompc_dual_feasible(
@@ -263,6 +270,16 @@ def check_ccfl_run(
     if opt1_value < zz * (1 - 1e-9):
         out.append(f"{label}: OPT1 below Z")
     return out
+
+
+def check_z_epochs_run(
+    instance: CcflInstance, result: ZEpochsResult, zstar: float, label: str
+) -> list[str]:
+    """The integral cost of a ``z_epochs`` run stays within its cap."""
+    cap = z_epochs_bound(instance, zstar, result.epoch_constant)
+    if result.per_epoch_total > cap:
+        return [f"{label}: integral cost {result.per_epoch_total} exceeds {cap}"]
+    return []
 
 
 def check_adversary_run(

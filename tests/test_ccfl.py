@@ -58,6 +58,26 @@ def entered(st, j: int):
     return probe
 
 
+def test_entry_costs_without_a_finite_spread_are_rejected():
+    fac = np.arange(2, dtype=np.int64)
+
+    def client(demand):
+        demand = np.array(demand)
+        return CcflClient(fac, demand, demand, np.zeros(2))
+
+    ok = client([1.0, 1e300])
+    assert CcflInstance(np.zeros(2), np.ones(2), (ok, ok)).rho == 1e300
+    spread = r"^client 1 entry costs span 1e-300 to 1e\+300; "
+    with pytest.raises(ValueError, match=spread):
+        CcflInstance(np.zeros(2), np.ones(2), (ok, client([1e-300, 1e300])))
+    with pytest.raises(ValueError, match=r"^client 0 entry costs span 1 to inf; "):
+        CcflInstance(np.array([1e308, 0.0]), np.ones(2), (client([1e308, 1.0]), ok))
+    # a finite spread whose sigma = 4e^2 ln(2 mu m n rho) is not
+    wide = client([1e-300, 1e8])
+    with pytest.raises(ValueError, match=r"^entry-cost spread rho 1e\+308 puts sigma "):
+        CcflInstance(np.zeros(2), np.ones(2), (wide, wide))
+
+
 def test_candidate_filter():
     # a client enters exactly the facilities with c + p + a <= Z
     inst = uniform_instance(m=3, n=2)

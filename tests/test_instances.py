@@ -342,7 +342,20 @@ def test_ompc_text_round_trip_is_exact(inst):
     [
         ("kind ompc\nm 0\nn 2\n", 3, "'m' must be at least 1, got 0"),
         ("kind ompc\nm -3\nn 2\n", 3, "'m' must be at least 1, got -3"),
-        ("kind ccfl\nm 2\nn 0\n", 4, "'n' must be at least 1, got 0"),
+        ("kind ccfl\nm 2\nn 0\n", 4, "'n' must be at least 2, got 0"),
+        # an assignment instance needs 2 facilities and 2 clients
+        (
+            "kind ccfl\nm 1\nn 2\nfacilities 1\n1.0 1.0\nclients 2\n"
+            "0:1.0:0.0\n0:1.0:0.0\nend\n",
+            3,
+            "'m' must be at least 2, got 1",
+        ),
+        (
+            "kind ccfl\nm 2\nn 1\nfacilities 2\n1.0 1.0\n1.0 1.0\nclients 1\n"
+            "0:1.0:0.0 1:1.0:0.0\nend\n",
+            4,
+            "'n' must be at least 2, got 1",
+        ),
         (
             "kind ompc\nm 2\nn 2\npacking -5\ncovering 1\n0:1.0\nend\n",
             5,
@@ -359,8 +372,8 @@ def test_ompc_text_round_trip_is_exact(inst):
             "'facilities' must be at least 0, got -2",
         ),
         (
-            "kind ccfl\nm 1\nn 1\nfacilities 1\n1.0 1.0\nclients -1\nend\n",
-            7,
+            "kind ccfl\nm 2\nn 2\nfacilities 2\n1.0 1.0\n1.0 1.0\nclients -1\nend\n",
+            8,
             "'clients' must be at least 0, got -1",
         ),
         # never allocatable: 10^14 float64 entries

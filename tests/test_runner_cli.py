@@ -353,6 +353,36 @@ def test_cli_solve_ccfl_and_round(tmp_path, capsys):
     assert out.count('"client"') == 4
 
 
+def test_cli_solve_ccfl_bound_check_flags_cost_above_the_epoch_cap(tmp_path, capsys):
+    path = tmp_path / "ccfl.txt"
+    path.write_text(emit_instance(gen_random_ccfl(4, 8, seed=3)))
+    argv = ["solve-ccfl", "--instance", str(path), "--bound-check"]
+    assert main([*argv, "--epoch-constant", "1e-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith(
+        "per_epoch_total 85.6151686340685\n"
+        "zstar 17.19290105672954\n"
+        "bound 6.83459026632819\n"
+    )
+    assert captured.err == (
+        f"VIOLATION {path}: integral cost 85.6151686340685 exceeds 6.83459026632819\n"
+    )
+
+
+def test_cli_solve_ccfl_bound_check_skips_beyond_the_brute_force_guard(
+    tmp_path, capsys
+):
+    path = tmp_path / "ccfl.txt"
+    path.write_text(emit_instance(gen_random_ccfl(9, 8, seed=3)))
+    assert main(["solve-ccfl", "--instance", str(path), "--bound-check"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith(
+        "\nbound-check skipped: instance beyond brute-force guard\n"
+    )
+    assert "zstar" not in captured.out
+    assert captured.err == ""
+
+
 def test_cli_oracle_brute_and_opt1(tmp_path, capsys):
     inst = gen_random_ccfl(3, 4, seed=6)
     path = tmp_path / "ccfl.txt"
@@ -582,6 +612,83 @@ def test_cli_zero_cost_entry_is_an_input_error(tmp_path, capsys):
     assert main(["solve-ccfl", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert "client 0 has a zero-cost entry at facility 0" in err
+
+
+# client 1's entry costs span 1e-300 to 1e300: max/min overflows
+CCFL_SPREAD_OVERFLOW = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+0.0 1.0
+0.0 1.0
+clients 2
+0:1e300:0.0 1:1e300:0.0
+0:1e-300:0.0 1:1e300:0.0
+end
+"""
+
+# client 0's entry cost at facility 0 sums to beyond floats
+CCFL_ENTRY_COST_OVERFLOW = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+1e308 1.0
+1.0 1.0
+clients 2
+0:1e308:0.0 1:1.0:0.0
+0:1.0:0.0 1:1.0:0.0
+end
+"""
+
+
+# each client's spread, 1e308, is finite, but sigma = 4e^2 ln(2 mu m n rho)
+# is not
+CCFL_SIGMA_OVERFLOW = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+0.0 1.0
+0.0 1.0
+clients 2
+0:1e-300:0.0 1:1e8:0.0
+0:1e-300:0.0 1:1e8:0.0
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            CCFL_SPREAD_OVERFLOW,
+            "line 10: client 1 entry costs span 1e-300 to 1e+300; "
+            "max/min must be finite",
+        ),
+        (
+            CCFL_ENTRY_COST_OVERFLOW,
+            "line 9: client 0 entry costs span 2 to inf; max/min must be finite",
+        ),
+        (
+            CCFL_SIGMA_OVERFLOW,
+            "line 11: entry-cost spread rho 1e+308 puts sigma beyond floats",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", ["solve-ccfl --bound-check", "round", "oracle --brute"]
+)
+def test_cli_ccfl_entry_cost_spread_beyond_floats_is_an_input_error(
+    command, text, message, tmp_path, capsys
+):
+    path = tmp_path / "spread.txt"
+    path.write_text(text)
+    assert main([*command.split(), "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def _oracle_instance(kind, tmp_path):
