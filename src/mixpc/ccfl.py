@@ -19,7 +19,7 @@ with fresh variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,25 +88,27 @@ class CcflClient:
             raise ValueError("client parameters must be finite")
 
 
-def check_entry_costs(j: int, fixed_charge: np.ndarray, client: CcflClient) -> None:
-    """Reject client j when ``init_client`` cannot scale its entry costs.
+def entry_cost_spread(j: int, fixed_charge: np.ndarray, client: CcflClient) -> float:
+    """Client j's entry-cost max/min; ``ValueError`` when ``init_client``
+    cannot scale its entry costs.
 
     Each entry starts at the least entry cost over its own: 0/0 for an entry
     of cost 0, and no finite ratio when the costs span beyond floats.
     """
     with np.errstate(over="ignore"):  # a sum beyond floats fails the ratio test
         ec = fixed_charge[client.facilities] + client.demand + client.assign_cost
-    free = ec == 0.0
-    if free.any():
+    lo, hi = float(ec.min()), float(ec.max())
+    if lo == 0.0:  # every entry cost is >= 0
         raise ValueError(
             f"client {j} has a zero-cost entry at facility "
-            f"{int(client.facilities[free][0])}"
+            f"{int(client.facilities[ec == 0.0][0])}"
         )
-    lo, hi = float(ec.min()), float(ec.max())
-    if not math.isfinite(hi / lo):
+    spread = hi / lo
+    if not math.isfinite(spread):
         raise ValueError(
             f"client {j} entry costs span {lo:g} to {hi:g}; max/min must be finite"
         )
+    return spread
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,7 @@ class CcflInstance:
     fixed_charge: np.ndarray
     capacity: np.ndarray
     clients: tuple[CcflClient, ...]
+    rho: float = field(init=False)  # worst per-client entry-cost spread, >= 1
 
     def __post_init__(self) -> None:
         c = np.asarray(self.fixed_charge, dtype=np.float64).ravel()
@@ -131,10 +134,12 @@ class CcflInstance:
         object.__setattr__(self, "fixed_charge", np.ascontiguousarray(c))
         object.__setattr__(self, "capacity", np.ascontiguousarray(u))
         object.__setattr__(self, "clients", tuple(self.clients))
+        spreads = [1.0]
         for j, cl in enumerate(self.clients):
             if cl.facilities[0] < 0 or cl.facilities[-1] >= c.size:  # sorted
                 raise ValueError("client references unknown facility")
-            check_entry_costs(j, c, cl)
+            spreads.append(entry_cost_spread(j, c, cl))
+        object.__setattr__(self, "rho", max(spreads))
         # a finite rho may still put 2 mu m n rho, and so every bound, at inf
         if not math.isfinite(self.sigma):
             raise ValueError(
@@ -153,15 +158,6 @@ class CcflInstance:
         """``c_i + p_ij + a_ij`` over client j's feasible facilities."""
         cl = self.clients[j]
         return self.fixed_charge[cl.facilities] + cl.demand + cl.assign_cost
-
-    @cached_property
-    def rho(self) -> float:
-        """Worst per-client spread of total single-assignment cost."""
-        worst = 1.0
-        for j in range(self.n):
-            ec = self.entry_cost(j)
-            worst = max(worst, float(ec.max() / ec.min()))
-        return worst
 
     @property
     def mu(self) -> float:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ccfl import CcflClient, CcflInstance, check_entry_costs
+from .ccfl import CcflClient, CcflInstance, entry_cost_spread
 from .core import CoveringRow, PackingSystem
 from .rng import rng_for
 
@@ -294,7 +294,7 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
                 raw_demand=np.array(raw),
                 assign_cost=np.array(ac),
             )
-            check_entry_costs(len(clients), charges, client)
+            entry_cost_spread(len(clients), charges, client)
             clients.append(client)
         except ValueError as exc:
             raise ParseError(lines.lineno, str(exc)) from None

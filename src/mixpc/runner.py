@@ -243,8 +243,8 @@ def check_ccfl_run(
     if solution.lp1_objective > solution.cumulative_cost * (1 + 1e-9):
         out.append(f"{label}: aggregate objective exceeds cumulative trial cost")
     c = instance.fixed_charge
-    p_dense = instance.dense_demand()
-    a_dense = instance.dense_assign_cost()
+    p = instance.dense_demand()
+    a = instance.dense_assign_cost()
     for t, st in enumerate(solution.trials):
         if st.min_pd_gap < -PD_TOL:
             out.append(
@@ -257,7 +257,7 @@ def check_ccfl_run(
         if float((fam2 / np.maximum(1.0, c)).max()) > DUAL_TOL:
             out.append(f"{label}: trial {t} dual family-2 infeasible")
         # family 1 on the entered pairs, where x > 0
-        lhs = st.gamma * cert.alpha - cert.beta - p_dense * cert.gamma_[:, None] - a_dense
+        lhs = st.gamma * cert.alpha - cert.beta - p * cert.gamma_[:, None] - a
         worst1 = float(lhs[st.x > 0].max(initial=-math.inf))
         if worst1 > DUAL_TOL:
             out.append(f"{label}: trial {t} dual family-1 infeasible ({worst1})")

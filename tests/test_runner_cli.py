@@ -606,14 +606,6 @@ def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cli_zero_cost_entry_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "zero.txt"
-    path.write_text(ZERO_COST_CCFL)
-    assert main(["solve-ccfl", "--instance", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "client 0 has a zero-cost entry at facility 0" in err
-
-
 # client 1's entry costs span 1e-300 to 1e300: max/min overflows
 CCFL_SPREAD_OVERFLOW = """mixpc-instance v1
 kind ccfl
@@ -642,7 +634,6 @@ clients 2
 end
 """
 
-
 # each client's spread, 1e308, is finite, but sigma = 4e^2 ln(2 mu m n rho)
 # is not
 CCFL_SIGMA_OVERFLOW = """mixpc-instance v1
@@ -662,6 +653,7 @@ end
 @pytest.mark.parametrize(
     "text, message",
     [
+        (ZERO_COST_CCFL, "line 9: client 0 has a zero-cost entry at facility 0"),
         (
             CCFL_SPREAD_OVERFLOW,
             "line 10: client 1 entry costs span 1e-300 to 1e+300; "
@@ -677,15 +669,14 @@ end
         ),
     ],
 )
-@pytest.mark.parametrize(
-    "command", ["solve-ccfl --bound-check", "round", "oracle --brute"]
-)
-def test_cli_ccfl_entry_cost_spread_beyond_floats_is_an_input_error(
-    command, text, message, tmp_path, capsys
+def test_cli_ccfl_entry_costs_init_cannot_scale_are_input_errors(
+    text, message, tmp_path, capsys
 ):
-    path = tmp_path / "spread.txt"
+    # each client's entry values are its least entry cost over each of its
+    # own, and sigma sets every bound; no warning, no "bound inf"
+    path = tmp_path / "ccfl.txt"
     path.write_text(text)
-    assert main([*command.split(), "--instance", str(path)]) == 2
+    assert main(["solve-ccfl", "--instance", str(path), "--bound-check"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
