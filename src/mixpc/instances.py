@@ -294,6 +294,7 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
                 raw_demand=np.array(raw),
                 assign_cost=np.array(ac),
             )
+            # CcflInstance's check, on the client's own line
             entry_cost_spread(len(clients), charges, client)
             clients.append(client)
         except ValueError as exc:

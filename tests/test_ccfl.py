@@ -517,8 +517,8 @@ def _ratio_digest(st) -> str:
 
 def test_gamma_trials_bits_are_pinned():
     # pinned bits, per trial: gamma, max scaled violation, a digest of the
-    # z ratio log on the entered pairs and their count; a change that moves any of them must
-    # say why
+    # z ratio log on the entered pairs and their count; a change that moves
+    # any of them must say why
     heavy = gen_random_ccfl(
         2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
         assign_range=(0.0, 0.1),
