@@ -2,8 +2,8 @@
 
 Facilities (fixed charge ``c_i``, capacity ``u_i``) are known offline;
 clients arrive online with per-facility demands and assignment costs.
-Demands are normalized by capacity at load time, so congestion is a plain
-sum of demands.  For a total-cost guess ``Z``, a client may only be
+A client normalizes its demands by capacity when it is built, so congestion
+is a plain sum of demands.  For a total-cost guess ``Z``, a client may only be
 assigned to candidate facilities with ``c_i + p_ij + a_ij <= Z``.
 
 The solver keeps a potential
@@ -19,7 +19,7 @@ with fresh variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _E = float(np.e)
+_UNKNOWN_FACILITY = "client references unknown facility"
 
 
 class CcflInfeasible(RuntimeError):
@@ -56,29 +57,39 @@ class CcflInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class CcflClient:
-    """One client's feasible facilities with normalized demand and cost."""
+    """One client's feasible facilities with normalized demand and cost,
+    built from its raw demands and every facility's capacity in id order."""
 
     facilities: np.ndarray  # ascending facility ids
-    demand: np.ndarray  # p_ij / u_i
     raw_demand: np.ndarray
     assign_cost: np.ndarray
+    capacity: InitVar[np.ndarray]
+    demand: np.ndarray = field(init=False)  # p_ij / u_i
 
-    def __post_init__(self) -> None:
-        fac = np.asarray(self.facilities, dtype=np.int64).ravel()
-        dem = np.asarray(self.demand, dtype=np.float64).ravel()
+    def __post_init__(self, capacity: np.ndarray) -> None:
+        try:
+            fac = np.asarray(self.facilities, dtype=np.int64).ravel()
+        except OverflowError:  # an id beyond int64 names no facility either
+            raise ValueError(_UNKNOWN_FACILITY) from None
         raw = np.asarray(self.raw_demand, dtype=np.float64).ravel()
         ac = np.asarray(self.assign_cost, dtype=np.float64).ravel()
+        u = np.asarray(capacity, dtype=np.float64).ravel()
         if fac.size == 0:
             raise ValueError("client must have at least one feasible facility")
-        if not (fac.size == dem.size == raw.size == ac.size):
+        if not (fac.size == raw.size == ac.size):
             raise ValueError("client arrays must share a length")
         if np.unique(fac).size != fac.size:
             raise ValueError("duplicate facility in client entry")
         order = np.argsort(fac)
+        fac, raw = fac[order], raw[order]
+        if fac[0] < 0 or fac[-1] >= u.size:
+            raise ValueError(_UNKNOWN_FACILITY)
+        with np.errstate(over="ignore"):  # a quotient beyond floats fails below
+            dem = raw / u[fac]
         for name, arr in (
-            ("facilities", fac[order]),
-            ("demand", dem[order]),
-            ("raw_demand", raw[order]),
+            ("facilities", fac),
+            ("demand", dem),
+            ("raw_demand", raw),
             ("assign_cost", ac[order]),
         ):
             object.__setattr__(self, name, np.ascontiguousarray(arr))
@@ -88,9 +99,19 @@ class CcflClient:
             raise ValueError("client parameters must be finite")
 
 
-def entry_cost_spread(j: int, fixed_charge: np.ndarray, client: CcflClient) -> float:
-    """Client j's entry-cost max/min; ``ValueError`` when ``init_client``
-    cannot scale its entry costs.
+def check_facilities(fixed_charge, capacity) -> None:
+    """``CcflInstance``'s facility checks, on its arrays or one facility's floats."""
+    if np.any(fixed_charge < 0) or np.any(capacity <= 0):
+        raise ValueError("fixed charges must be >= 0 and capacities > 0")
+    if not (np.all(np.isfinite(fixed_charge)) and np.all(np.isfinite(capacity))):
+        raise ValueError("facility parameters must be finite")
+
+
+def checked_entry_costs(
+    j: int, fixed_charge: np.ndarray, client: CcflClient
+) -> np.ndarray:
+    """Client j's entry costs ``c_i + p_ij + a_ij``, read-only; ``ValueError``
+    when ``init_client`` cannot scale them.
 
     Each entry starts at the least entry cost over its own: 0/0 for an entry
     of cost 0, and no finite ratio when the costs span beyond floats.
@@ -103,12 +124,12 @@ def entry_cost_spread(j: int, fixed_charge: np.ndarray, client: CcflClient) -> f
             f"client {j} has a zero-cost entry at facility "
             f"{int(client.facilities[ec == 0.0][0])}"
         )
-    spread = hi / lo
-    if not math.isfinite(spread):
+    if not math.isfinite(hi / lo):
         raise ValueError(
             f"client {j} entry costs span {lo:g} to {hi:g}; max/min must be finite"
         )
-    return spread
+    ec.setflags(write=False)
+    return ec
 
 
 @dataclass(frozen=True)
@@ -119,6 +140,7 @@ class CcflInstance:
     capacity: np.ndarray
     clients: tuple[CcflClient, ...]
     rho: float = field(init=False)  # worst per-client entry-cost spread, >= 1
+    _entry_costs: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.fixed_charge, dtype=np.float64).ravel()
@@ -127,18 +149,17 @@ class CcflInstance:
             raise ValueError("fixed charges and capacities must align")
         if c.size < 2 or len(self.clients) < 2:
             raise ValueError("need at least 2 facilities and 2 clients")
-        if np.any(c < 0) or np.any(u <= 0):
-            raise ValueError("fixed charges must be >= 0 and capacities > 0")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(u))):
-            raise ValueError("facility parameters must be finite")
+        check_facilities(c, u)
         object.__setattr__(self, "fixed_charge", np.ascontiguousarray(c))
         object.__setattr__(self, "capacity", np.ascontiguousarray(u))
         object.__setattr__(self, "clients", tuple(self.clients))
-        spreads = [1.0]
+        costs = []
         for j, cl in enumerate(self.clients):
-            if cl.facilities[0] < 0 or cl.facilities[-1] >= c.size:  # sorted
-                raise ValueError("client references unknown facility")
-            spreads.append(entry_cost_spread(j, c, cl))
+            if cl.facilities[-1] >= c.size:  # sorted, and >= 0 by construction
+                raise ValueError(_UNKNOWN_FACILITY)
+            costs.append(checked_entry_costs(j, c, cl))
+        object.__setattr__(self, "_entry_costs", tuple(costs))
+        spreads = (float(ec.max()) / float(ec.min()) for ec in costs)  # each >= 1
         object.__setattr__(self, "rho", max(spreads))
         # a finite rho may still put 2 mu m n rho, and so every bound, at inf
         if not math.isfinite(self.sigma):
@@ -155,9 +176,8 @@ class CcflInstance:
         return len(self.clients)
 
     def entry_cost(self, j: int) -> np.ndarray:
-        """``c_i + p_ij + a_ij`` over client j's feasible facilities."""
-        cl = self.clients[j]
-        return self.fixed_charge[cl.facilities] + cl.demand + cl.assign_cost
+        """``c_i + p_ij + a_ij`` over client j's feasible facilities; read-only."""
+        return self._entry_costs[j]
 
     @property
     def mu(self) -> float:
@@ -470,14 +490,7 @@ def umsc_to_ccfl(umsc) -> CcflInstance:
     for job in umsc.jobs:
         fac = np.array(sorted(job), dtype=np.int64)
         p = np.array([job[int(i)] for i in fac])
-        clients.append(
-            CcflClient(
-                facilities=fac,
-                demand=p,
-                raw_demand=p,
-                assign_cost=np.zeros(fac.size),
-            )
-        )
+        clients.append(CcflClient(fac, p, np.zeros(fac.size), np.ones(m)))
     return CcflInstance(
         fixed_charge=umsc.costs.copy(),
         capacity=np.ones(m),

@@ -24,6 +24,8 @@ __all__ = [
     "violation",
 ]
 
+_UNKNOWN_VARIABLE = "covering row references unknown variable"
+
 
 @dataclass(frozen=True)
 class PackingSystem:

@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .ccfl import CcflClient, CcflInstance, entry_cost_spread
-from .core import CoveringRow, PackingSystem
+from .ccfl import CcflClient, CcflInstance, check_facilities, checked_entry_costs
+from .core import _UNKNOWN_VARIABLE, CoveringRow, PackingSystem
 from .rng import rng_for
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _MAGIC = "mixpc-instance v1"
-_UNKNOWN_VARIABLE = "covering row references unknown variable"
 
 
 class ParseError(ValueError):
@@ -258,13 +257,10 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
             c, u = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(lines.lineno, f"bad facility line {line!r}") from None
-        # CcflInstance's checks, in its order, on the facility's own line
-        if c < 0 or u <= 0:
-            raise ParseError(
-                lines.lineno, "fixed charges must be >= 0 and capacities > 0"
-            )
-        if not (math.isfinite(c) and math.isfinite(u)):
-            raise ParseError(lines.lineno, "facility parameters must be finite")
+        try:  # on the facility's own line
+            check_facilities(c, u)
+        except ValueError as exc:
+            raise ParseError(lines.lineno, str(exc)) from None
         charges.append(c)
         caps.append(u)
     charges, caps = np.array(charges), np.array(caps)
@@ -285,20 +281,12 @@ def parse_instance(text: str | bytes) -> OmpcInstance | CcflInstance:
                 ac.append(float(pieces[2]))
             except ValueError:
                 raise ParseError(lines.lineno, f"bad entry {tok!r}") from None
-        if any(i < 0 or i >= m for i in fac):
-            raise ParseError(lines.lineno, "facility id out of range")
-        try:
-            client = CcflClient(
-                facilities=np.array(fac, dtype=np.int64),
-                demand=np.array(raw) / caps[np.array(fac, dtype=np.int64)],
-                raw_demand=np.array(raw),
-                assign_cost=np.array(ac),
-            )
-            # CcflInstance's check, on the client's own line
-            entry_cost_spread(len(clients), charges, client)
-            clients.append(client)
+        try:  # the client's and CcflInstance's checks, on the client's own line
+            client = CcflClient(fac, raw, ac, caps)
+            checked_entry_costs(len(clients), charges, client)
         except ValueError as exc:
             raise ParseError(lines.lineno, str(exc)) from None
+        clients.append(client)
     if lines.next("end marker") != "end":
         raise ParseError(lines.lineno, "missing 'end'")
     try:
@@ -375,17 +363,10 @@ def gen_random_ccfl(
 
     charges = draw(charge_range, m)
     caps = draw(capacity_range, m)
+    check_facilities(charges, caps)  # before any client divides by caps
     clients = []
     fac = np.arange(m, dtype=np.int64)
     for _ in range(n):
         raw = draw(demand_range, m)
-        ac = draw(assign_range, m)
-        clients.append(
-            CcflClient(
-                facilities=fac.copy(),
-                demand=raw / caps,
-                raw_demand=raw,
-                assign_cost=ac,
-            )
-        )
+        clients.append(CcflClient(fac, raw, draw(assign_range, m), caps))
     return CcflInstance(charges, caps, tuple(clients))

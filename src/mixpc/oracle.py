@@ -29,6 +29,8 @@ __all__ = [
 FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-10
 _REFACTOR_EVERY = 64
+BRUTE_MAX_M = 8  # brute_force_zstar's size guard
+BRUTE_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -298,25 +300,21 @@ def ccfl_opt1(instance, z_value: float) -> LpSolution:
     return simplex_solve(LpProblem(obj, lhs, (">=",) * rhs.size, rhs))
 
 
-def brute_force_zstar(instance, max_m: int = 8, max_n: int = 12) -> float:
+def brute_force_zstar(instance) -> float:
     """Exact minimum total cost (congestion + fixed charges + assignment).
 
     Depth-first search over integral assignments with an additive lower
-    bound for pruning; refuses instances beyond the size guard.
+    bound for pruning; refuses instances with more than ``BRUTE_MAX_M``
+    facilities or ``BRUTE_MAX_N`` clients.
     """
     m, n = instance.m, instance.n
-    if m > max_m or n > max_n:
+    if m > BRUTE_MAX_M or n > BRUTE_MAX_N:
         raise ValueError(f"instance too large for brute force ({m}x{n})")
     clients = instance.clients
     choices = []
     for j in range(n):
         cl = clients[j]
-        if cl.facilities.size == 0:
-            raise ValueError(f"client {j} has no feasible facility")
-        order = np.argsort(
-            instance.fixed_charge[cl.facilities] + cl.demand + cl.assign_cost,
-            kind="stable",
-        )
+        order = np.argsort(instance.entry_cost(j), kind="stable")
         choices.append(
             [
                 (int(cl.facilities[t]), float(cl.demand[t]), float(cl.assign_cost[t]))

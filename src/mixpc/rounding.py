@@ -40,6 +40,7 @@ __all__ = [
 
 _E = float(np.e)
 DEFAULT_EPOCH_CONSTANT = 512.0
+MC_CHUNK = 4096  # replications per mc_rounding kernel call
 
 
 def rounds_for(n: int) -> int:
@@ -271,13 +272,12 @@ def mc_rounding(
     z_value: float,
     reps: int,
     seed: int,
-    chunk: int = 4096,
 ) -> McRoundingStats:
     """Replicate the rounding ``reps`` times on a frozen fractional solution.
 
     Replication ``k`` draws its uniforms from the stream (seed, "mc-round",
     k), so any single replication can be reproduced in isolation; chunking
-    only batches the arithmetic.
+    by ``MC_CHUNK`` replications only batches the arithmetic.
     """
     m, n = instance.m, instance.n
     r = rounds_for(n)
@@ -295,7 +295,7 @@ def mc_rounding(
     gen = np.random.Generator(np.random.Philox(0))
     done = 0
     while done < reps:
-        take = min(chunk, reps - done)
+        take = min(MC_CHUNK, reps - done)
         tdraw = np.empty((take, m, r))
         udraw = np.empty((take, n, m))
         for k in range(take):

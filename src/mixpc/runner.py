@@ -441,10 +441,7 @@ def _mc_instance(m: int, n: int, seed: int) -> CcflInstance:
     charges = 1.0 + g.random(m)
     demand = 0.01 + 0.04 * g.random(m)
     assign = 0.05 * g.random(m)
-    fac = np.arange(m, dtype=np.int64)
-    client = CcflClient(
-        facilities=fac, demand=demand, raw_demand=demand, assign_cost=assign
-    )
+    client = CcflClient(np.arange(m), demand, assign, np.ones(m))
     return CcflInstance(charges, np.ones(m), tuple(client for _ in range(n)))
 
 

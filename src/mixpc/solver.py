@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import CoveringRow, PackingSystem, violation
+from .core import _UNKNOWN_VARIABLE, CoveringRow, PackingSystem, violation
 
 __all__ = [
     "OmpcTrialState",
@@ -140,7 +140,7 @@ def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> 
         raise RuntimeError("trial already failed; start a new trial")
     # CoveringRow sorts its indices, so the last one is the largest
     if row.indices[-1] >= state.system.n:
-        raise ValueError("covering row references unknown variables")
+        raise ValueError(_UNKNOWN_VARIABLE)
     state.rows_seen.append(row_id)
     state.duals_y.setdefault(row_id, 0.0)
     state.phases_per_row.setdefault(row_id, 0)

@@ -6,9 +6,11 @@ forms here state them one formula at a time.
 
 from __future__ import annotations
 
-import numpy as np
-
+import itertools
 import math
+from fractions import Fraction
+
+import numpy as np
 
 from mixpc.ccfl import CcflTrialState
 from mixpc.core import CoveringRow, PackingSystem
@@ -131,3 +133,52 @@ class TieTracker:
             zcur = max(self.rowmax[i], float(x_j[t]))
             self.z_ratio_log[(i, j)] = math.log(zcur / self.rowmax[i])
             self.rowmax[i] = zcur
+
+
+def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """``a v = b`` by Gauss-Jordan elimination in rationals; None when singular."""
+    k = len(b)
+    rows = [list(r) + [bi] for r, bi in zip(a, b)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for r in range(k):
+            f = rows[r][col]
+            if r != col and f != 0:
+                rows[r] = [x - f * y / top[col] for x, y in zip(rows[r], top)]
+    return [rows[r][k] / rows[r][r] for r in range(k)]
+
+
+def exact_ompc_opt(system: PackingSystem, rows: list[CoveringRow]) -> Fraction:
+    """``min lambda s.t. C x >= 1, P x <= lambda, x >= 0`` in exact rationals.
+
+    The program is bounded below (``lambda >= 0``) and its feasible set has
+    a vertex (``x, lambda >= 0``), so the optimum sits at a vertex: a point
+    where n+1 independent constraints hold with equality.  Every choice of
+    n+1 constraints is solved; the least ``lambda`` over the feasible
+    solutions is the optimum.  Each constraint is ``a . (x, lambda) >= b``.
+    """
+    n = system.n
+    cons: list[tuple[list[Fraction], Fraction]] = []
+    for row in rows:
+        a = [Fraction(0)] * (n + 1)
+        for j, c in zip(row.indices.tolist(), row.values.tolist()):
+            a[j] = Fraction(c)
+        cons.append((a, Fraction(1)))
+    for prow in system.matrix.tolist():
+        cons.append(([-Fraction(p) for p in prow] + [Fraction(1)], Fraction(0)))
+    for j in range(n + 1):
+        cons.append(([Fraction(int(t == j)) for t in range(n + 1)], Fraction(0)))
+    best = None
+    for tight in itertools.combinations(cons, n + 1):
+        v = _solve_exact([a for a, _ in tight], [b for _, b in tight])
+        if v is None or (best is not None and v[n] >= best):
+            continue
+        if all(sum(ai * vi for ai, vi in zip(a, v)) >= b for a, b in cons):
+            best = v[n]
+    if best is None:
+        raise ValueError("no feasible vertex")
+    return best

@@ -28,9 +28,9 @@ def uniform_instance(m=2, n=2, c=1.0, p=1.0, a=1.0) -> CcflInstance:
     fac = np.arange(m, dtype=np.int64)
     client = CcflClient(
         facilities=fac,
-        demand=np.full(m, p),
         raw_demand=np.full(m, p),
         assign_cost=np.full(m, a),
+        capacity=np.ones(m),
     )
     return CcflInstance(np.full(m, c), np.ones(m), tuple(client for _ in range(n)))
 
@@ -63,7 +63,7 @@ def test_entry_costs_without_a_finite_spread_are_rejected():
 
     def client(demand):
         demand = np.array(demand)
-        return CcflClient(fac, demand, demand, np.zeros(2))
+        return CcflClient(fac, demand, np.zeros(2), np.ones(2))
 
     ok = client([1.0, 1e300])
     assert CcflInstance(np.zeros(2), np.ones(2), (ok, ok)).rho == 1e300
@@ -119,9 +119,9 @@ def test_init_client_ratio_structure():
     # facility with doubled entry cost starts at half the cheapest's value
     client = CcflClient(
         facilities=np.array([0, 1]),
-        demand=np.array([0.5, 0.5]),
         raw_demand=np.array([0.5, 0.5]),
         assign_cost=np.array([0.5, 2.0]),
+        capacity=np.ones(2),
     )
     inst = CcflInstance(np.array([1.0, 1.5]), np.ones(2), (client, client))
     st = new_trial(inst, z_value=10.0, gamma=1.0)

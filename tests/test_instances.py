@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,54 @@ def test_bad_facility_line_names_its_own_line(f0, f1, lineno, message):
     assert str(err.value) == f"line {lineno}: {message}"
 
 
+@pytest.mark.parametrize(
+    "f0, c0, message",
+    [
+        # p / u beyond floats fails the client's finite check, with no warning
+        ("1.0 1e-300", "0:1e300:0.0 1:1.0:0.0", "client parameters must be finite"),
+        ("1.0 1.0", "0:1.0:0.0 2:1.0:0.0", "client references unknown facility"),
+        ("1.0 1.0", "-1:1.0:0.0 1:1.0:0.0", "client references unknown facility"),
+        # an id beyond int64 names no facility either
+        (
+            "1.0 1.0",
+            "0:1.0:0.0 9223372036854775808:1.0:0.0",
+            "client references unknown facility",
+        ),
+    ],
+)
+def test_bad_client_line_names_its_own_line(f0, c0, message):
+    doc = _CCFL_DOC.format(f0=f0, f1="1.0 1.0").replace("0:1.0:0.5 1:1.0:0.5", c0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            parse_instance(doc)
+    assert err.value.lineno == 9
+    assert str(err.value) == f"line 9: {message}"
+
+
+@pytest.mark.parametrize(
+    "capacity, demand, message",
+    [
+        (1e-300, 1e300, "client parameters must be finite"),
+        (0.0, 1.0, "fixed charges must be >= 0 and capacities > 0"),
+    ],
+)
+def test_generated_demand_over_capacity_is_rejected_without_warning(
+    capacity, demand, message
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            gen_random_ccfl(
+                2,
+                2,
+                seed=0,
+                capacity_range=(capacity, capacity),
+                demand_range=(demand, demand),
+            )
+    assert str(err.value) == message
+
+
 def test_ccfl_doc_with_good_facilities_parses():
     inst = parse_instance(_CCFL_DOC.format(f0="0.0 2.0", f1="1.5 1.0"))
     assert inst.fixed_charge.tolist() == [0.0, 1.5]
@@ -270,7 +320,7 @@ def test_ccfl_doc_with_good_facilities_parses():
 def test_instance_rejects_a_negative_facility_id():
     def client(fac):
         k = len(fac)
-        return CcflClient(np.array(fac), np.ones(k), np.ones(k), np.ones(k))
+        return CcflClient(np.array(fac), np.ones(k), np.ones(k), np.ones(3))
 
     CcflInstance(np.ones(2), np.ones(2), (client([0, 1]), client([1])))
     with pytest.raises(ValueError, match="^client references unknown facility$"):

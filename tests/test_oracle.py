@@ -9,6 +9,7 @@ from mixpc import (
     brute_force_zstar,
     ccfl_opt1,
     gen_random_ccfl,
+    gen_random_ompc,
     ompc_opt,
     simplex_solve,
     umsc_lower_bound,
@@ -17,6 +18,7 @@ from mixpc import (
 from mixpc.ccfl import CcflClient, CcflInstance
 from mixpc.oracle import _Tableau
 from mixpc.rng import rng_for
+from reference_maths import exact_ompc_opt
 
 
 def test_min_lambda_single_variable():
@@ -164,8 +166,6 @@ def test_ompc_opt_single_variable():
 
 
 def test_ompc_opt_strong_duality_random():
-    from mixpc import gen_random_ompc
-
     g = rng_for(23, "oracle-ompc")
     for k in range(10):
         inst = gen_random_ompc(4, 6, 5, 0.6, (1.0, 3.0), seed=900 + k)
@@ -178,6 +178,24 @@ def test_ompc_opt_strong_duality_random():
         ptz = inst.system.matrix.T @ res.z
         assert float((cty - ptz).max()) <= 1e-8
         assert float(res.z.sum()) <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ompc_opt_matches_the_exact_vertex_optimum(seed):
+    inst = gen_random_ompc(3, 4, 2 + seed % 3, 0.6, (0.5, 4.0), seed=seed)
+    exact = exact_ompc_opt(inst.system, list(inst.rows))
+    assert exact > 0
+    assert ompc_opt(inst.system, list(inst.rows)).value == pytest.approx(
+        float(exact), rel=1e-9
+    )
+
+
+def test_ompc_opt_is_exactly_zero_when_every_row_holds_an_empty_column():
+    # variable 1 is in no packing row and in every covering row
+    system = PackingSystem(np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]]))
+    rows = [CoveringRow([0, 1], [1.0, 2.0]), CoveringRow([1, 2], [0.5, 1.0])]
+    assert exact_ompc_opt(system, rows) == 0
+    assert ompc_opt(system, rows).value == 0.0
 
 
 def test_ccfl_opt1_at_least_z():
@@ -201,9 +219,9 @@ def test_ccfl_opt1_uniform_cross_check():
     # 2 facilities x 2 clients, all parameters 1: optimum found by scipy too
     client = CcflClient(
         facilities=np.array([0, 1]),
-        demand=np.ones(2),
         raw_demand=np.ones(2),
         assign_cost=np.ones(2),
+        capacity=np.ones(2),
     )
     inst = CcflInstance(np.ones(2), np.ones(2), (client, client))
     z = 3.0
@@ -306,9 +324,9 @@ def test_brute_force_single_effective_facility():
     clients = tuple(
         CcflClient(
             facilities=np.array([0, 1]),
-            demand=np.array([p, p]),
             raw_demand=np.array([p, p]),
             assign_cost=np.array([a, a + 1e9]),
+            capacity=np.ones(2),
         )
         for p, a in ((0.5, 0.25), (1.5, 0.75))
     )
@@ -333,9 +351,10 @@ def test_brute_force_values_are_pinned(seed, m, n, zstar_hex):
 
 
 def test_brute_force_size_guard():
-    inst = gen_random_ccfl(3, 4, seed=1)
-    with pytest.raises(ValueError):
-        brute_force_zstar(inst, max_m=2)
+    # one instance past each limit: 9 > BRUTE_MAX_M facilities, 13 > BRUTE_MAX_N clients
+    for inst in (gen_random_ccfl(9, 4, seed=1), gen_random_ccfl(3, 13, seed=1)):
+        with pytest.raises(ValueError):
+            brute_force_zstar(inst)
 
 
 def test_brute_force_below_random_assignments():

@@ -11,6 +11,7 @@ from mixpc import (
     mc_rounding,
     new_rounding_state,
     round_client,
+    rounding,
     rounds_for,
     z_epochs,
 )
@@ -114,14 +115,15 @@ def test_restarted_stream_matches_a_fresh_generator():
         )
 
 
-def test_mc_batch_matches_sequential_rounding():
+def test_mc_batch_matches_sequential_rounding(monkeypatch):
     # the chunked sweep and a client-by-client replay with the same bits
     # must agree exactly on step-4 events, opened cost, and congestion
     inst, z, xs, ys = _frozen_fractional()
     m, n = inst.m, inst.n
     r = rounds_for(n)
     seed = 99
-    stats = mc_rounding(inst, xs, ys, z, reps=50, seed=seed, chunk=7)
+    monkeypatch.setattr(rounding, "MC_CHUNK", 7)
+    stats = mc_rounding(inst, xs, ys, z, reps=50, seed=seed)
     step4_seq = np.zeros(n)
     opened_seq = np.zeros(50)
     cong_seq = np.zeros(50)
@@ -153,10 +155,12 @@ def test_mc_batch_matches_sequential_rounding():
     )
 
 
-def test_mc_chunking_invariance():
+def test_mc_chunking_invariance(monkeypatch):
     inst, z, xs, ys = _frozen_fractional()
-    a = mc_rounding(inst, xs, ys, z, reps=40, seed=4, chunk=40)
-    b = mc_rounding(inst, xs, ys, z, reps=40, seed=4, chunk=11)
+    monkeypatch.setattr(rounding, "MC_CHUNK", 40)
+    a = mc_rounding(inst, xs, ys, z, reps=40, seed=4)
+    monkeypatch.setattr(rounding, "MC_CHUNK", 11)
+    b = mc_rounding(inst, xs, ys, z, reps=40, seed=4)
     assert np.array_equal(a.step4_freq, b.step4_freq)
     assert a.mean_opened_cost == b.mean_opened_cost
     assert a.mean_max_candidate_congestion == b.mean_max_candidate_congestion
@@ -233,15 +237,15 @@ def test_pipeline_trivial_padded_instance():
     # the real client's fixed charge + demand + assignment cost
     real = CcflClient(
         facilities=np.array([0]),
-        demand=np.array([0.75]),
         raw_demand=np.array([0.75]),
         assign_cost=np.array([0.5]),
+        capacity=np.ones(2),
     )
     free = CcflClient(
         facilities=np.array([0]),
-        demand=np.array([0.0]),
         raw_demand=np.array([0.0]),
         assign_cost=np.array([0.0]),
+        capacity=np.ones(2),
     )
     inst = CcflInstance(np.array([2.0, 1e12]), np.ones(2), (real, free))
     res = z_epochs(inst, seed=1)

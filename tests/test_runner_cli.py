@@ -634,6 +634,33 @@ clients 2
 end
 """
 
+# p / u = 1e300 / 1e-300 is beyond floats
+CCFL_DEMAND_OVERFLOW = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+1.0 1e-300
+1.0 1.0
+clients 2
+0:1e300:0.0 1:1.0:0.0
+0:1.0:0.0
+end
+"""
+
+CCFL_FACILITY_ID_OVERFLOW = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+1.0 1.0
+1.0 1.0
+clients 2
+0:1.0:0.0 9223372036854775808:1.0:0.0
+0:1.0:0.0
+end
+"""
+
 # each client's spread, 1e308, is finite, but sigma = 4e^2 ln(2 mu m n rho)
 # is not
 CCFL_SIGMA_OVERFLOW = """mixpc-instance v1
@@ -667,13 +694,17 @@ end
             CCFL_SIGMA_OVERFLOW,
             "line 11: entry-cost spread rho 1e+308 puts sigma beyond floats",
         ),
+        (CCFL_DEMAND_OVERFLOW, "line 9: client parameters must be finite"),
+        (CCFL_FACILITY_ID_OVERFLOW, "line 9: client references unknown facility"),
     ],
 )
 def test_cli_ccfl_entry_costs_init_cannot_scale_are_input_errors(
     text, message, tmp_path, capsys
 ):
     # each client's entry values are its least entry cost over each of its
-    # own, and sigma sets every bound; no warning, no "bound inf"
+    # own, and sigma sets every bound; no warning, no "bound inf".  A demand
+    # over capacity beyond floats and an id beyond int64 are the client's
+    # own errors
     path = tmp_path / "ccfl.txt"
     path.write_text(text)
     assert main(["solve-ccfl", "--instance", str(path), "--bound-check"]) == 2
