@@ -258,8 +258,9 @@ def ccfl_client_phases(
 # ---------------------------------------------------------------------------
 # Monte-Carlo rounding sweep over a chunk of replications.
 #
-# Inputs are the frozen fractional solution (per-client x and the facility
-# openness vector y at that client's arrival, plus the final y) and the
+# Inputs are the frozen fractional solution (each client's coin
+# probabilities from rounding.coin_probabilities, 0 off its heavy set, and
+# the facility openness vector y at its arrival, plus the final y) and the
 # pre-drawn uniforms:  tdraw (R, m, r) for the opening thresholds, udraw
 # (R, n, m) for the candidate coin flips.  Returns per-replication
 #   step4 counts per client (R, n), opened fixed charge (R,),
@@ -267,10 +268,9 @@ def ccfl_client_phases(
 # ---------------------------------------------------------------------------
 
 
-def mc_round_chunk(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
+def mc_round_chunk(prob, yat, yfinal, p, cfix, tdraw, udraw):
     tbar = tdraw.min(axis=2)  # (R, m)
     openmask = yat[None, :, :] >= tbar[:, None, :]  # (R, n, m)
-    prob = np.where(in_s, np.minimum(1.0, xcl / np.maximum(yat, 1e-300)), 0.0)
     cand = udraw < prob[None, :, :]
     hit = openmask & cand
     step4 = ~hit.any(axis=2)  # (R, n)

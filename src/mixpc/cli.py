@@ -19,6 +19,7 @@ from .instances import OmpcInstance, emit_instance, parse_instance
 from .oracle import brute_force_zstar, ccfl_opt1, ompc_opt
 from .rounding import DEFAULT_EPOCH_CONSTANT, z_epochs
 from .runner import (
+    SUITES,
     ExperimentConfig,
     check_adversary_run,
     check_ompc_run,
@@ -234,11 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(
         "suite", _cmd_suite, "--out --bound-check", "run a named experiment suite"
     )
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=("ompc-adversary", "ompc-random", "ccfl-random", "ccfl-mc"),
-    )
+    p.add_argument("--name", required=True, choices=tuple(SUITES))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--reps", type=int, default=None)

@@ -5,8 +5,9 @@ Opening uses the classic threshold trick: each facility draws
 fractional openness passes the smallest of them.  An arriving client then
 flips a coin per heavy facility (fractional assignment at least ``1/(2m)``)
 with success probability ``x_ij / y_i``, goes to the lowest-indexed open
-candidate, and only if every coin failed falls back to the cheapest heavy
-facility.
+candidate, and only if it has none falls back to the heavy facility of
+least entry cost.  ``coin_probabilities`` is that coin rule, for the
+pipeline and the Monte-Carlo sweep alike.
 
 The pipeline guesses the total cost ``Z``, runs the fractional solver plus
 rounding as one *epoch*, and doubles ``Z`` whenever a client has no
@@ -29,6 +30,7 @@ __all__ = [
     "rounds_for",
     "RoundingState",
     "new_rounding_state",
+    "coin_probabilities",
     "round_client",
     "z_epochs",
     "ZEpochsResult",
@@ -69,49 +71,57 @@ def new_rounding_state(m: int, n: int, rng: np.random.Generator) -> RoundingStat
     )
 
 
+def coin_probabilities(x: np.ndarray, y: np.ndarray, m: int):
+    """Step 2's heavy mask, ``min(x, 1) >= 1/(2m)``, and each coin's success
+    probability ``min(1, min(x, 1) / y)``, 0 off the heavy set."""
+    x_cl = np.minimum(x, 1.0)
+    heavy = x_cl >= 1.0 / (2.0 * m)
+    prob = np.where(heavy, np.minimum(1.0, x_cl / np.maximum(y, 1e-300)), 0.0)
+    return heavy, prob
+
+
 def round_client(
     rng: np.random.Generator,
     state: RoundingState,
+    instance: CcflInstance,
     j: int,
     x_j: np.ndarray,
     y: np.ndarray,
-    demand_j: np.ndarray,
-    assign_cost_j: np.ndarray,
-    fixed_charge: np.ndarray,
 ) -> int:
-    """Steps 1-4 for one client; returns the chosen facility.
+    """Steps 1-4 for client j; returns the chosen facility.
 
     ``x_j`` / ``y`` are the client's fractional assignment and the facility
     openness of the current aggregate solution (dense over facilities).
-    Draws exactly ``m`` uniforms, in facility order, so a run can be
-    replayed from the generator state alone.
+    Coins and the step-4 fallback run over the client's feasible facilities;
+    the fallback takes the least entry cost.  Draws exactly ``m`` uniforms,
+    in facility order, so a run can be replayed from the generator state
+    alone.
     """
-    m = fixed_charge.size
+    cl = instance.clients[j]
+    fac = cl.facilities
     newly = np.nonzero(~state.open_mask & (y >= state.tbar))[0]
     for i in newly:
         state.open_mask[i] = True
-        state.opened_cost += float(fixed_charge[i])
+        state.opened_cost += float(instance.fixed_charge[i])
     state.newly_opened = [int(i) for i in newly]
 
-    x_cl = np.minimum(x_j, 1.0)
-    heavy = x_cl >= 1.0 / (2.0 * m)
+    heavy, prob = coin_probabilities(x_j[fac], y[fac], instance.m)
     if not heavy.any():
         raise RuntimeError(f"client {j} has no heavy facility; was sum x >= 1?")
-    u = rng.random(m)
-    prob = np.where(heavy, np.minimum(1.0, x_cl / np.maximum(y, 1e-300)), 0.0)
-    open_cand = np.nonzero((u < prob) & state.open_mask)[0]
-    if open_cand.size:
-        chosen = int(open_cand[0])
+    u = rng.random(instance.m)
+    hits = np.nonzero((u[fac] < prob) & state.open_mask[fac])[0]
+    if hits.size:
+        t = int(hits[0])
     else:
-        heavy_idx = np.nonzero(heavy)[0]
-        score = fixed_charge[heavy_idx] + assign_cost_j[heavy_idx] + demand_j[heavy_idx]
-        chosen = int(heavy_idx[int(np.argmin(score))])
-        if not state.open_mask[chosen]:
-            state.open_mask[chosen] = True
-            state.opened_cost += float(fixed_charge[chosen])
-            state.newly_opened.append(chosen)
-    state.loads[chosen] += float(demand_j[chosen])
-    state.assign_cost += float(assign_cost_j[chosen])
+        heavy_t = np.nonzero(heavy)[0]
+        t = int(heavy_t[np.argmin(instance.entry_cost(j)[heavy_t])])
+    chosen = int(fac[t])
+    if not state.open_mask[chosen]:  # only a step-4 choice can be closed
+        state.open_mask[chosen] = True
+        state.opened_cost += float(instance.fixed_charge[chosen])
+        state.newly_opened.append(chosen)
+    state.loads[chosen] += float(cl.demand[t])
+    state.assign_cost += float(cl.assign_cost[t])
     return chosen
 
 
@@ -181,8 +191,6 @@ def z_epochs(
     epochs: list[EpochSummary] = []
     log: list[dict] = []
     z_value = instance.min_entry_cost(0)
-    dense_p = instance.dense_demand()
-    dense_a = instance.dense_assign_cost()
     j = 0
     epoch_idx = 0
     while j < n:
@@ -201,14 +209,7 @@ def z_epochs(
             solver.offer(j)
             x = solver.x_aggregate
             chosen = round_client(
-                step_rng,
-                rstate,
-                j,
-                x[:, j],
-                openness(instance, x, z_value),
-                dense_p[:, j],
-                dense_a[:, j],
-                instance.fixed_charge,
+                step_rng, rstate, instance, j, x[:, j], openness(instance, x, z_value)
             )
             assignment[j] = chosen
             served.append(j)
@@ -281,8 +282,7 @@ def mc_rounding(
     """
     m, n = instance.m, instance.n
     r = rounds_for(n)
-    xcl = np.minimum(x_per_client, 1.0)
-    in_s = xcl >= 1.0 / (2.0 * m)
+    _, prob = coin_probabilities(x_per_client, y_per_client, m)
     p = instance.dense_demand().T.copy()  # (n, m)
     cfix = instance.fixed_charge
     y_final = y_per_client[-1]
@@ -303,7 +303,7 @@ def mc_rounding(
             tdraw[k] = gen.random((m, r))
             udraw[k] = gen.random((n, m))
         step4, opened_cost, max_cong = _kernels.mc_round_chunk(
-            xcl, y_per_client, y_final, p, cfix, in_s, tdraw, udraw
+            prob, y_per_client, y_final, p, cfix, tdraw, udraw
         )
         step4_all[done : done + take] = step4
         opened_all[done : done + take] = opened_cost

@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentRecord",
     "ExperimentReport",
     "ExperimentConfig",
+    "SUITES",
     "run_experiment",
     "report_to_csv",
     "ompc_sigma",
@@ -512,6 +513,13 @@ def suite_ccfl_mc(
 # Config-driven entry point
 # ---------------------------------------------------------------------------
 
+SUITES = {  # each suite by name, with the flags it reads
+    "ompc-adversary": (suite_ompc_adversary, ()),
+    "ompc-random": (suite_ompc_random, ("seed", "count")),
+    "ccfl-random": (suite_ccfl_random, ("seed", "count")),
+    "ccfl-mc": (suite_ccfl_mc, ("seed", "reps")),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -529,15 +537,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     default.  A flag the suite does not read, or a size below 1, raises
     ``ValueError`` before the suite runs.
     """
-    suites = {  # each suite with the flags it reads
-        "ompc-adversary": (suite_ompc_adversary, ()),
-        "ompc-random": (suite_ompc_random, ("seed", "count")),
-        "ccfl-random": (suite_ccfl_random, ("seed", "count")),
-        "ccfl-mc": (suite_ccfl_mc, ("seed", "reps")),
-    }
-    if config.suite not in suites:
+    if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}")
-    run, reads = suites[config.suite]
+    run, reads = SUITES[config.suite]
     given = {"seed": config.seed, "count": config.count, "reps": config.reps}
     flags = {flag: value for flag, value in given.items() if value is not None}
     for flag, value in flags.items():

@@ -254,9 +254,9 @@ def _ccfl_client_phases_loop(
     return status, phases, alpha_inc, max_tl, min_gap
 
 
-def _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
+def _mc_round_chunk_loop(prob, yat, yfinal, p, cfix, tdraw, udraw):
     nrep = tdraw.shape[0]
-    n, m = xcl.shape
+    n, m = prob.shape
     r = tdraw.shape[2]
     step4 = np.zeros((nrep, n), dtype=np.bool_)
     opened_cost = np.zeros(nrep)
@@ -271,14 +271,10 @@ def _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw):
                 opened_cost[rep] += cfix[i]
             cong = 0.0
             for j in range(n):
-                if in_s[j, i]:
-                    prob = xcl[j, i] / yat[j, i]
-                    if prob > 1.0:
-                        prob = 1.0
-                    if udraw[rep, j, i] < prob:
-                        cong += p[j, i]
-                        if yat[j, i] >= tb:
-                            step4[rep, j] = True  # reused as "hit" marker
+                if udraw[rep, j, i] < prob[j, i]:
+                    cong += p[j, i]
+                    if yat[j, i] >= tb:
+                        step4[rep, j] = True  # reused as "hit" marker
             if cong > max_cong[rep]:
                 max_cong[rep] = cong
         for j in range(n):
@@ -546,10 +542,11 @@ def test_mc_kernel_matches_loop():
     p = g.random((n, m)) * 0.3
     cfix = 1.0 + g.random(m)
     in_s = xcl >= 1.0 / (2 * m)
+    prob = np.where(in_s, np.minimum(xcl / yat, 1.0), 0.0)
     tdraw = g.random((reps, m, r))
     udraw = g.random((reps, n, m))
-    s_np = _kernels.mc_round_chunk(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw)
-    s_lp = _mc_round_chunk_loop(xcl, yat, yfinal, p, cfix, in_s, tdraw, udraw)
+    s_np = _kernels.mc_round_chunk(prob, yat, yfinal, p, cfix, tdraw, udraw)
+    s_lp = _mc_round_chunk_loop(prob, yat, yfinal, p, cfix, tdraw, udraw)
     assert np.array_equal(s_np[0], s_lp[0])
     np.testing.assert_allclose(s_np[1], s_lp[1], rtol=1e-12)
     np.testing.assert_allclose(s_np[2], s_lp[2], rtol=1e-12)

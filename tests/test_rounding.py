@@ -26,66 +26,86 @@ def test_rounds_formula():
     assert rounds_for(2) == math.ceil(4 * math.e * math.log(2))
 
 
+def _two_clients(fixed_charge, demand, assign_cost, facilities=None):
+    """A CcflInstance whose two clients both take the given entries, on
+    every facility unless ``facilities`` names some; capacities are 1."""
+    m = len(fixed_charge)
+    client = CcflClient(
+        facilities=np.arange(m) if facilities is None else np.asarray(facilities),
+        raw_demand=np.asarray(demand, dtype=float),
+        assign_cost=np.asarray(assign_cost, dtype=float),
+        capacity=np.ones(m),
+    )
+    return CcflInstance(np.asarray(fixed_charge, dtype=float), np.ones(m), (client, client))
+
+
 def test_deterministic_single_facility_assignment():
     # x = y = 1 on one facility: candidate surely, open surely -> chosen
     rng = rng_for(1, "round-det")
     st = new_rounding_state(m=2, n=4, rng=rng_for(1, "round-det-t"))
     x = np.array([1.0, 0.0])
     y = np.array([1.0, 1e-12])
-    chosen = round_client(
-        rng,
-        st,
-        0,
-        x,
-        y,
-        demand_j=np.array([0.3, 0.3]),
-        assign_cost_j=np.zeros(2),
-        fixed_charge=np.array([2.0, 3.0]),
-    )
+    inst = _two_clients([2.0, 3.0], [0.3, 0.3], [0.0, 0.0])
+    chosen = round_client(rng, st, inst, 0, x, y)
     assert chosen == 0
     assert st.open_mask[0]
     assert st.loads[0] == pytest.approx(0.3)
 
 
 def test_step4_falls_back_to_cheapest_heavy():
-    class NeverOpen:
-        pass
-
     st = new_rounding_state(m=3, n=4, rng=rng_for(2, "round-t"))
-    st.tbar[:] = 2.0  # unreachable thresholds: nothing opens in step 1
+    st.tbar[:] = np.inf  # unreachable thresholds: nothing opens in step 1
     rng = rng_for(2, "round-u")
 
     # force candidate coins to fail by zeroing the probabilities' source
     x = np.array([0.4, 0.4, 0.2])
     y = np.array([1e9, 1e9, 1e9])  # probabilities ~ 0
-    chosen = round_client(
-        rng,
-        st,
-        0,
-        x,
-        y,
-        demand_j=np.array([0.5, 0.1, 0.2]),
-        assign_cost_j=np.array([0.0, 0.05, 0.0]),
-        fixed_charge=np.array([1.0, 1.0, 5.0]),
-    )
-    # step 4 minimizes c + a + p over heavy facilities {0, 1, 2}
+    inst = _two_clients([1.0, 1.0, 5.0], [0.5, 0.1, 0.2], [0.0, 0.05, 0.0])
+    chosen = round_client(rng, st, inst, 0, x, y)
+    # step 4 minimizes the entry cost c + p + a over heavy facilities {0, 1, 2}
     assert chosen == 1
     assert st.open_mask[chosen]
 
 
+def test_step4_takes_the_least_kept_entry_cost():
+    # c + a + p ties at 1.8, but the entry costs c + p + a the candidate
+    # filter reads are 1.8 and 1.7999999999999998: step 4 takes facility 1
+    inst = _two_clients([0.8, 0.6], [0.3, 0.3], [0.7, 0.9])
+    assert inst.entry_cost(0).tolist() == [1.8, 1.7999999999999998]
+    st = new_rounding_state(m=2, n=4, rng=rng_for(5, "round-t"))
+    st.tbar[:] = np.inf  # nothing opens in step 1: no coin finds an open facility
+    x = np.array([0.5, 0.5])  # both heavy; y = 1e9 makes every coin fail too
+    chosen = round_client(rng_for(5, "round-u"), st, inst, 0, x, np.full(2, 1e9))
+    assert chosen == 1
+    assert st.newly_opened == [1]
+    assert st.opened_cost == 0.6
+    assert st.loads.tolist() == [0.0, 0.3]
+    assert st.assign_cost == 0.9
+
+
+@pytest.mark.parametrize("path", ["coin", "step4"])
+def test_round_client_draws_m_uniforms(path):
+    # client 0 may use facilities 0 and 2 of 3; it still draws 3 uniforms
+    inst = _two_clients([1.0, 2.0, 3.0], [0.2, 0.4], [0.1, 0.3], facilities=[0, 2])
+    st = new_rounding_state(m=3, n=4, rng=rng_for(6, "round-t"))
+    if path == "coin":
+        st.tbar[:] = 0.0  # all open in step 1; facility 0's coin is sure
+        x = np.array([1.0, 0.0, 0.0])
+    else:
+        st.tbar[:] = np.inf  # none open: step 4 takes facility 0
+        x = np.array([0.5, 0.0, 0.5])
+    rng, ref = rng_for(6, "round-u"), rng_for(6, "round-u")
+    assert round_client(rng, st, inst, 0, x, np.ones(3)) == 0
+    assert st.newly_opened == ([0, 1, 2] if path == "coin" else [0])
+    ref.random(3)
+    assert np.array_equal(rng.random(4), ref.random(4))
+
+
 def test_round_client_requires_a_heavy_facility():
     st = new_rounding_state(m=4, n=4, rng=rng_for(3, "round-t"))
+    inst = _two_clients(np.ones(4), np.zeros(4), np.zeros(4))
     with pytest.raises(RuntimeError):
-        round_client(
-            rng_for(3, "round-u"),
-            st,
-            0,
-            np.full(4, 0.01),
-            np.full(4, 1.0),
-            demand_j=np.zeros(4),
-            assign_cost_j=np.zeros(4),
-            fixed_charge=np.ones(4),
-        )
+        round_client(rng_for(3, "round-u"), st, inst, 0, np.full(4, 0.01), np.full(4, 1.0))
 
 
 def _frozen_fractional(m=4, n=6, seed=5):
@@ -153,6 +173,17 @@ def test_mc_batch_matches_sequential_rounding(monkeypatch):
     assert stats.mean_max_candidate_congestion == pytest.approx(
         float(cong_seq.mean()), rel=1e-12
     )
+
+
+def test_mc_rounding_bits_are_pinned():
+    # pinned bits: a change to the coin rule or the Monte-Carlo kernel that
+    # moves any of them must say why
+    inst, z, xs, ys = _frozen_fractional()
+    stats = mc_rounding(inst, xs, ys, z, reps=500, seed=99)
+    assert hashlib.sha256(stats.step4_freq.tobytes()).hexdigest()[:16] == "258f49bf38cc08e0"
+    assert stats.step4_freq.tolist() == [0.0, 0.0, 0.0, 0.02, 0.024, 0.03]
+    assert stats.mean_opened_cost.hex() == "0x1.3ac7bb49c17b2p+3"
+    assert stats.mean_max_candidate_congestion.hex() == "0x1.9948bf6495f0cp+3"
 
 
 def test_mc_chunking_invariance(monkeypatch):
