@@ -29,7 +29,6 @@ from .ccfl import (
     CcflInfeasible,
     CcflInstance,
     assign_fractional,
-    ccfl_cost,
     ccfl_dual_certificate,
     gamma_trials,
     init_client,

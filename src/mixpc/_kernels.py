@@ -115,10 +115,11 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
 # that holds it (here, rowmax[i] = cand with x_j set to the same cand, or
 # x_j capped at rowmax[i]), so for the active client the exact comparison
 # is the tie itself, at entry and after every phase.  Returns
-#   (status, phases, alpha_inc, max_tl, min_gap)
+#   (status, phases, alpha_inc, max_tl, min_gap, potential)
 # where min_gap is the least per-phase primal-dual gap, the dual increase
 # e * eps minus the increase of the potential, over the phases run (inf
-# when none ran).
+# when none ran), and potential is the potential of the state the call
+# leaves.
 #
 # This kernel runs on Python floats, not numpy arrays: it reads every
 # array into a list once per call and writes the lists back once at the
@@ -133,8 +134,8 @@ def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
 # after phase k's update are the terms before phase k+1, since they depend
 # only on load, rowmax and x_j (and the fixed s2_rest, asum_rest), and
 # nothing writes those between the end of one phase and the start of the
-# next.  So one call costs phases + 1 evaluations, none when the client is
-# already covered.
+# next.  So one call costs phases + 1 evaluations, and its last one is the
+# potential it returns.
 # ---------------------------------------------------------------------------
 
 
@@ -181,9 +182,6 @@ def ccfl_client_phases(
     cover = 0.0
     for v in xs:
         cover += v
-    if cover >= 1.0:
-        tl = max(lk / zg + rk / gamma for lk, rk in zip(ld, rm))
-        return SATISFIED, 0, 0.0, tl, math.inf
     candidates = range(len(fac))
     facilities = range(len(ld))
     p_z = [v / zz for v in p]
@@ -252,7 +250,7 @@ def ccfl_client_phases(
     load[:] = ld
     chi_j[:] = ch
     eta[:] = et
-    return status, phases, alpha_inc, max_tl, min_gap
+    return status, phases, alpha_inc, max_tl, min_gap, terms[0]
 
 
 # ---------------------------------------------------------------------------

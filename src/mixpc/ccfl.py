@@ -35,7 +35,6 @@ __all__ = [
     "CcflFractionalSolution",
     "init_client",
     "assign_fractional",
-    "ccfl_cost",
     "ccfl_dual_certificate",
     "openness",
     "gamma_trials",
@@ -233,6 +232,7 @@ class CcflTrialState:
     max_scaled_violation: float = 0.0
     failed: bool = False
     min_pd_gap: float = math.inf  # least per-phase dual minus cost increase
+    potential: float = math.nan  # as the last client's phases left it
 
     @property
     def fail_level(self) -> float:
@@ -254,23 +254,6 @@ def new_trial(instance: CcflInstance, z_value: float, gamma: float) -> CcflTrial
         alpha=np.zeros(n),
         z_ratio_log=np.zeros((m, n)),
         phases_per_client=np.zeros(n, dtype=np.int64),
-    )
-
-
-def ccfl_cost(state: CcflTrialState) -> float:
-    """Potential of the current variables (shifted log-sum-exp both terms)."""
-    zz, g = state.z_value, state.gamma
-    t1 = state.load / (zz * g)
-    hi1 = t1.max()
-    term1 = hi1 + math.log(np.exp(t1 - hi1).sum())
-    flat = state.x / g
-    hi2 = flat.max()
-    term2 = hi2 + math.log(np.exp(flat - hi2).sum())
-    acost = float((state.instance.dense_assign_cost() * state.x).sum())
-    return float(
-        zz * (term1 + term2)
-        + state.instance.fixed_charge @ (t1 + state.rowmax / g)
-        + acost / g
     )
 
 
@@ -326,7 +309,7 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
     asum_rest = float((dense_a * state.x).sum() - a @ x_j)
 
     # max_tl counts the scaled violation right after entry too
-    status, phases, alpha_inc, max_tl, min_gap = _kernels.ccfl_client_phases(
+    status, phases, alpha_inc, max_tl, min_gap, potential = _kernels.ccfl_client_phases(
         fac,
         p,
         a,
@@ -348,6 +331,7 @@ def assign_fractional(state: CcflTrialState, j: int) -> bool:
     state.phases_per_client[j] = phases
     state.max_scaled_violation = max(state.max_scaled_violation, float(max_tl))
     state.min_pd_gap = min(state.min_pd_gap, float(min_gap))
+    state.potential = potential
 
     state.x[fac, j] = x_j
     state.chi[fac, j] = chi_j
@@ -435,7 +419,7 @@ class CcflFractionalSolver:
             self.state = new_trial(self.instance, self.z_value, self.state.gamma)
         cost = 0.0
         for st in self._records:
-            cost += st.gamma * ccfl_cost(st)
+            cost += st.gamma * st.potential
         return CcflFractionalSolution(
             instance=self.instance,
             z_value=self.z_value,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from mixpc.ccfl import CcflTrialState
+from mixpc.ccfl import CcflInstance, CcflTrialState
 from mixpc.core import CoveringRow, PackingSystem
 
 
@@ -90,6 +90,52 @@ def ccfl_rates(state: CcflTrialState, j: int) -> np.ndarray:
         zz * ((p / zz) * (w1[fac] / s1) + e2 / s2) / g
         + (c[fac] / g) * (p / zz + ind)
         + a / g
+    )
+
+
+def ccfl_potential(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma) -> float:
+    """The ccfl potential ``Z est + sum_i c_i (v_i + w_i) + sum a_ij x_ij / gamma``.
+
+    ``x_j`` and ``a`` hold the variables written out one by one, with their
+    assignment costs; ``s2_rest`` and ``asum_rest`` hold the sums of
+    ``exp(x / gamma)`` and ``a x`` over every other variable.
+    """
+    m = load.shape[0]
+    hi1 = load[0]
+    for k in range(1, m):
+        if load[k] > hi1:
+            hi1 = load[k]
+    hi1 /= zz * gamma
+    s1 = 0.0
+    for k in range(m):
+        s1 += math.exp(load[k] / (zz * gamma) - hi1)
+    s2 = s2_rest
+    for t in range(x_j.shape[0]):
+        s2 += math.exp(x_j[t] / gamma)
+    est = hi1 + math.log(s1) + math.log(s2)
+    cl = 0.0
+    cr = 0.0
+    for k in range(m):
+        cl += c[k] * load[k]
+        cr += c[k] * rowmax[k]
+    ax = 0.0
+    for t in range(x_j.shape[0]):
+        ax += a[t] * x_j[t]
+    return zz * est + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
+
+
+def reference_cost(instance: CcflInstance, z: float, gamma: float, x: np.ndarray) -> float:
+    """``ccfl_potential`` of a whole (m, n) trial ``x``, every variable written out."""
+    return ccfl_potential(
+        instance.dense_assign_cost().ravel(),
+        instance.fixed_charge,
+        x.ravel(),
+        x.max(axis=1),
+        (instance.dense_demand() * x).sum(axis=1),
+        0.0,
+        0.0,
+        z,
+        gamma,
     )
 
 

@@ -10,7 +10,6 @@ from mixpc import (
     CcflInstance,
     assign_fractional,
     brute_force_zstar,
-    ccfl_cost,
     ccfl_dual_certificate,
     ccfl_opt1,
     gamma_trials,
@@ -19,7 +18,7 @@ from mixpc import (
 )
 from mixpc import _kernels, ccfl
 from mixpc.ccfl import CcflClient, CcflFractionalSolver, new_trial
-from reference_maths import TieTracker, ccfl_rates
+from reference_maths import TieTracker, ccfl_rates, reference_cost
 
 E = math.e
 
@@ -33,21 +32,6 @@ def uniform_instance(m=2, n=2, c=1.0, p=1.0, a=1.0) -> CcflInstance:
         capacity=np.ones(m),
     )
     return CcflInstance(np.full(m, c), np.ones(m), tuple(client for _ in range(n)))
-
-
-def reference_cost(instance: CcflInstance, z: float, gamma: float, x: np.ndarray) -> float:
-    """Second implementation of the potential, straight from its definition."""
-    m, n = instance.m, instance.n
-    p = instance.dense_demand()
-    a = instance.dense_assign_cost()
-    c = instance.fixed_charge
-    loads = (p * x).sum(axis=1)
-    term1 = math.log(sum(math.exp(loads[i] / (z * gamma)) for i in range(m)))
-    term2 = math.log(
-        sum(math.exp(x[i, j] / gamma) for i in range(m) for j in range(n))
-    )
-    y_tilde = loads / (z * gamma) + x.max(axis=1) / gamma
-    return z * (term1 + term2) + float(c @ y_tilde) + float((a * x).sum()) / gamma
 
 
 def entered(st, j: int):
@@ -135,24 +119,42 @@ def test_init_cost_at_most_z_over_n():
         z = 2.0 * brute_force_zstar(inst)
         st = new_trial(inst, z_value=z, gamma=1.0)
         for j in range(inst.n):
-            assert ccfl_cost(entered(st, j)) - ccfl_cost(st) <= z / inst.n + 1e-9
+            rise = reference_cost(inst, z, 1.0, entered(st, j).x) - reference_cost(
+                inst, z, 1.0, st.x
+            )
+            assert rise <= z / inst.n + 1e-9
             assign_fractional(st, j)
 
 
 def test_cost_at_zero():
     inst = uniform_instance()
     st = new_trial(inst, z_value=5.0, gamma=1.0)
-    assert ccfl_cost(st) == pytest.approx(5.0 * (math.log(2) + math.log(4)), rel=1e-12)
+    assert reference_cost(inst, 5.0, 1.0, st.x) == pytest.approx(
+        5.0 * (math.log(2) + math.log(4)), rel=1e-12
+    )
 
 
-def test_cost_matches_reference_along_a_run():
+def test_potential_matches_reference_along_a_run():
+    # the potential a trial keeps is the one its last client's phases left
     inst = gen_random_ccfl(3, 4, seed=12)
     z = 2.0 * brute_force_zstar(inst)
     st = new_trial(inst, z_value=z, gamma=1.0)
+    assert math.isnan(st.potential)  # no client has entered
     for j in range(inst.n):
         assign_fractional(st, j)
-        assert ccfl_cost(st) == pytest.approx(
+        assert st.potential == pytest.approx(
             reference_cost(inst, z, 1.0, st.x), rel=1e-9
+        )
+    # and on a failed trial, where the failing client's phases stopped early
+    heavy = gen_random_ccfl(
+        2, 60, seed=2, charge_range=(0.1, 0.2), demand_range=(3.0, 4.0),
+        assign_range=(0.0, 0.1),
+    )
+    sol = gamma_trials(heavy, max(heavy.entry_cost(j).min() for j in range(heavy.n)))
+    assert sol.trials[0].failed
+    for tr in sol.trials:
+        assert tr.potential == pytest.approx(
+            reference_cost(heavy, tr.z_value, tr.gamma, tr.x), rel=1e-9
         )
 
 
@@ -416,7 +418,7 @@ def test_fractional_bound_in_range_trial():
         sol = solver.finish()
         assert len(sol.trials) == 1
         assert not sol.trials[0].failed
-        cost = gamma * ccfl_cost(sol.trials[0])
+        cost = gamma * sol.trials[0].potential
         bound = 14.0 * inst.sigma * math.log(E * inst.m * inst.n) * opt1
         assert cost <= bound * (1 + 1e-9)
 
@@ -528,7 +530,7 @@ def test_gamma_trials_bits_are_pinned():
         runs.append((gen_random_ccfl(4, 7, seed=seed, capacity_range=(1.0, 2.0)), 1.25))
     pinned = [
         (
-            "0x1.7731ea529646fp+7",
+            "0x1.7731ea529646ep+7",
             [
                 (1.0, "0x1.5c055b57d33a8p+4", "5b8f6b15b45d82a3", 92),
                 (2.0, "0x1.99fffab7f0b00p+1", "cf94d6e358d96b85", 19),

@@ -24,6 +24,7 @@ import pytest
 from mixpc import _kernels, brute_force_zstar, gamma_trials, gen_random_ccfl
 from mixpc._kernels import FAILED, SATISFIED
 from mixpc.rng import rng_for
+from reference_maths import ccfl_potential
 
 _E = float(np.e)
 
@@ -125,31 +126,6 @@ def _ompc_row_phases_two_softmax(pt, idx, val, x, pvx, z, max_tl, mu, fail_level
     return SATISFIED, phases, dual_inc, max_tl, min_gap
 
 
-def _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma):
-    m = load.shape[0]
-    hi1 = load[0]
-    for k in range(1, m):
-        if load[k] > hi1:
-            hi1 = load[k]
-    hi1 /= zz * gamma
-    s1 = 0.0
-    for k in range(m):
-        s1 += math.exp(load[k] / (zz * gamma) - hi1)
-    s2 = s2_rest
-    for t in range(x_j.shape[0]):
-        s2 += math.exp(x_j[t] / gamma)
-    est = hi1 + math.log(s1) + math.log(s2)
-    cl = 0.0
-    cr = 0.0
-    for k in range(m):
-        cl += c[k] * load[k]
-        cr += c[k] * rowmax[k]
-    ax = 0.0
-    for t in range(x_j.shape[0]):
-        ax += a[t] * x_j[t]
-    return zz * est + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
-
-
 def _ccfl_client_phases_loop(
     fac, p, a, c, x_j, at_max, rowmax, load, chi_j, eta,
     s2_rest, asum_rest, zz, gamma, mu, fail_level,
@@ -182,16 +158,7 @@ def _ccfl_client_phases_loop(
         for t in range(f):
             e2[t] = math.exp(x_j[t] / gamma)
             s2 += e2[t]
-        est0 = hi1 + math.log(s1) + math.log(s2)
-        cl = 0.0
-        cr = 0.0
-        for k in range(m):
-            cl += c[k] * load[k]
-            cr += c[k] * rowmax[k]
-        ax = 0.0
-        for t in range(f):
-            ax += a[t] * x_j[t]
-        cost0 = zz * est0 + cl / (zz * gamma) + cr / gamma + (asum_rest + ax) / gamma
+        cost0 = ccfl_potential(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
         tl = -np.inf
         for k in range(m):
             v = load[k] / (zz * gamma) + rowmax[k] / gamma
@@ -238,7 +205,7 @@ def _ccfl_client_phases_loop(
             cover += dx
         alpha_inc += _E * eps
         # post-update cost for the failure check
-        cost1 = _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
+        cost1 = ccfl_potential(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
         min_gap = min(min_gap, _E * eps - (cost1 - cost0))
         phases += 1
         if cost1 > fail_level:
@@ -251,7 +218,8 @@ def _ccfl_client_phases_loop(
             tl = v
     if tl > max_tl:
         max_tl = tl
-    return status, phases, alpha_inc, max_tl, min_gap
+    potential = ccfl_potential(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
+    return status, phases, alpha_inc, max_tl, min_gap, potential
 
 
 def _mc_round_chunk_loop(prob, yat, yfinal, p, cfix, tdraw, udraw):
@@ -424,7 +392,7 @@ def _potential(args):
     a, c, x_j = args[2:5]
     rowmax, load = args[6:8]
     s2_rest, asum_rest, zz, gamma = args[10:14]
-    return _ccfl_potential_loop(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
+    return ccfl_potential(a, c, x_j, rowmax, load, s2_rest, asum_rest, zz, gamma)
 
 
 def _mid_fail_level(seed, **case):
@@ -464,6 +432,7 @@ def test_ccfl_kernel_matches_loop():
             assert out_np[2] == pytest.approx(out_lp[2], rel=1e-12)
             assert out_np[3] == pytest.approx(out_lp[3], rel=1e-12)  # max_tl
             assert out_np[4] == pytest.approx(out_lp[4], abs=1e-12)  # min gap
+            assert out_np[5] == pytest.approx(out_lp[5], rel=1e-12)  # potential
             np.testing.assert_allclose(a_np[4], a_lp[4], rtol=1e-12)  # x_j
             np.testing.assert_allclose(a_np[6], a_lp[6], rtol=1e-12)  # rowmax
             np.testing.assert_allclose(a_np[7], a_lp[7], rtol=1e-12)  # load
@@ -497,11 +466,11 @@ def test_ccfl_kernel_evaluates_the_potential_once_per_phase(monkeypatch):
         _ccfl_inputs(0),
         _ccfl_inputs(1, gamma=2.0, asum_rest=0.7, held=True),
         _ccfl_inputs(2, fail=-math.inf),  # fails after its first phase
-        _ccfl_inputs(0, x0=0.25),  # covered: no phase
+        _ccfl_inputs(0, x0=0.25),  # covered: no phase, one evaluation
     ):
         calls.clear()
         phases = _kernels.ccfl_client_phases(*args)[1]
-        assert len(calls) == (phases + 1 if phases > 0 else 0)
+        assert len(calls) == phases + 1
 
 
 def test_gamma_trials_agree_with_the_loop_kernel(monkeypatch):
@@ -528,6 +497,7 @@ def test_gamma_trials_agree_with_the_loop_kernel(monkeypatch):
             # the same variables hold their facility's maximum
             assert np.array_equal(st.x == st.rowmax[:, None], rt.x == rt.rowmax[:, None])
             np.testing.assert_allclose(st.rowmax, rt.rowmax, rtol=1e-12)
+            assert st.potential == pytest.approx(rt.potential, rel=1e-12)
         np.testing.assert_allclose(got.x, ref.x, rtol=1e-12)
         assert got.cumulative_cost == pytest.approx(ref.cumulative_cost, rel=1e-12)
     assert len(got.trials) >= 2  # the heavy instance doubled gamma

@@ -45,8 +45,8 @@ PINNED_SUITE_CSVS = [
     ("ompc-adversary", None, {}, "13ebc95ef4112d2e"),
     ("ompc-random", 0, {"count": 10}, "7aec9406b5b4a109"),
     ("ompc-random", 11, {"count": 10}, "fa4feb246bd89db3"),
-    ("ccfl-random", 0, {"count": 3}, "45cf2b04af44db21"),
-    ("ccfl-random", 11, {"count": 3}, "8a4c7fa100574153"),
+    ("ccfl-random", 0, {"count": 3}, "058e5bca070a3ab6"),
+    ("ccfl-random", 11, {"count": 3}, "6a803ab37917b658"),
     ("ccfl-mc", 0, {"reps": 2000}, "da3ce053574238f2"),
     ("ccfl-mc", 11, {"reps": 2000}, "a6c3e8d1a337759c"),
 ]
