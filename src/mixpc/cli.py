@@ -29,7 +29,7 @@ from .runner import (
     run_experiment,
     z_epochs_bound,
 )
-from .solver import solve_online, start_point, start_scale
+from .solver import solve_online, start_point, start_row, start_scale
 
 
 def _load(path: str):
@@ -135,8 +135,9 @@ def _cmd_oracle(args) -> int:
         if args.z is not None or args.brute:
             raise ValueError("--z and --brute apply only to an assignment instance")
         # the coefficient range solve-ompc rejects is an input error here too
-        first = inst.rows[0]
-        start_point(inst.system, first, start_scale(inst.system, first))
+        first = start_row(inst.system, inst.rows)
+        if first is not None:
+            start_point(inst.system, first, start_scale(inst.system, first))
         opt = ompc_opt(inst.system, list(inst.rows))
         print(f"opt {opt.value!r}")
         print(f"dual {opt.dual_value!r}")

@@ -26,6 +26,8 @@ __all__ = [
     "TrialRecord",
     "OmpcSolution",
     "OnlineOmpcSolver",
+    "free_entry",
+    "start_row",
     "start_scale",
     "start_point",
     "init_trial",
@@ -76,6 +78,23 @@ class OmpcTrialState:
     def lambda_value(self) -> float:
         """Unscaled worst packing row value of this trial's variables."""
         return violation(self.system, self.x)
+
+
+def free_entry(nonzeros: np.ndarray, row: CoveringRow) -> int | None:
+    """Position in ``row`` of its lowest variable whose packing column is all
+    zero, by the per-column counts ``nonzeros``; None when it has none.
+
+    A row with such a variable is *free*: it is met at no packing load.
+    """
+    zero_cols = np.flatnonzero(nonzeros[row.indices] == 0)
+    return int(zero_cols[0]) if zero_cols.size else None
+
+
+def start_row(system: PackingSystem, rows) -> CoveringRow | None:
+    """The row ``OnlineOmpcSolver`` starts its first trial from: the first
+    row that is not free, or None when every row is."""
+    nonzeros = system.column_nonzeros()
+    return next((row for row in rows if free_entry(nonzeros, row) is None), None)
 
 
 def start_scale(system: PackingSystem, first_row: CoveringRow) -> float:
@@ -152,9 +171,8 @@ def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> 
     if not row.coverage(state.x) < 1.0 - SAT_SLACK:
         return True
 
-    zero_cols = np.flatnonzero(nonzeros[row.indices] == 0)
-    if zero_cols.size:
-        t = int(zero_cols[0])
+    t = free_entry(nonzeros, row)
+    if t is not None:
         j = int(row.indices[t])
         state.x[j] = max(state.x[j], 1.0 / row.values[t])
         return True
@@ -216,7 +234,10 @@ class OmpcSolution:
 class OnlineOmpcSolver:
     """Streaming interface: feed covering rows, read back the aggregate x.
 
-    The first row fixes ``d1``/``kappa1`` and the starting scale
+    A free row (see ``free_entry``) says nothing about OPT, so until a
+    trial has started it opens none: it is covered in the closed aggregate,
+    the way ``process_constraint`` covers it.  The first row that is not
+    free fixes ``d1``/``kappa1`` and the starting scale
     ``gamma = max p_kj / (d1 rho kappa1)``; afterwards every failed trial
     doubles ``gamma`` and replays the row that broke it, and a row offered
     after ``finish`` resumes at the last trial's ``gamma``.  Rows satisfied
@@ -239,13 +260,21 @@ class OnlineOmpcSolver:
 
     def offer(self, row: CoveringRow) -> None:
         """Process one covering row; ``x_total`` then covers it."""
+        row_id = self._rows_offered
+        self._rows_offered += 1
         if self._first_row is None:
+            if row.indices[-1] >= self.system.n:  # indices are sorted
+                raise ValueError(_UNKNOWN_VARIABLE)
+            t = free_entry(self.system.column_nonzeros(), row)
+            if t is not None:
+                if row.coverage(self._x_closed) < 1.0 - SAT_SLACK:
+                    j = int(row.indices[t])
+                    self._x_closed[j] = max(self._x_closed[j], 1.0 / row.values[t])
+                return
             self._state = init_trial(self.system, start_scale(self.system, row), row)
             self._first_row = row
         elif self._state is None:
             self._state = init_trial(self.system, self._records[-1].gamma, self._first_row)
-        row_id = self._rows_offered
-        self._rows_offered += 1
         while not process_constraint(self._state, row, row_id):
             self._retire()
             self._state = init_trial(

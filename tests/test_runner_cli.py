@@ -18,6 +18,7 @@ from mixpc import (
 )
 from mixpc import cli
 from mixpc.cli import main
+from mixpc.solver import TrialRecord, init_trial, process_constraint
 from mixpc.runner import (
     ExperimentConfig,
     check_ccfl_run,
@@ -130,15 +131,20 @@ def test_opt_zero_is_checked_by_phase_count(tmp_path, capsys):
     path.write_text(OMPC_OPT_ZERO)
     assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
     out = capsys.readouterr()
-    assert "phases 0\noracle 0.0\n" in out.out
+    assert "lambda 0.0\ntrials 0\nphases 0\noracle 0.0\n" in out.out
     assert out.err == ""
     inst = parse_instance(OMPC_OPT_ZERO)
     sol = solve_online(inst.system, inst.rows)
-    # a ratio to OPT would divide 1.0 by 0.0 here
-    assert sol.lambda_value == 1.0
+    # the row is free, so it opens no trial and loads no packing row
+    assert sol.lambda_value == 0.0
+    assert sol.trials == ()
     assert check_ompc_run(inst, sol, 0.0, "opt0") == []
+    # a trial that ran a phase at OPT 0 is flagged; the solver opens none
+    # here, so this one is built by hand
+    state = init_trial(inst.system, 1.0, inst.rows[0])
+    assert process_constraint(state, inst.rows[0], 0)
     planted = dataclasses.replace(
-        sol, trials=(dataclasses.replace(sol.trials[0], phases=1),)
+        sol, trials=(TrialRecord(gamma=1.0, failed=False, phases=1, state=state),)
     )
     assert check_ompc_run(inst, planted, 0.0, "opt0") == [
         "opt0: trial 0 ran 1 phases at OPT 0"
@@ -578,7 +584,26 @@ end
 """
 
 
-@pytest.mark.parametrize("text", [OMPC_START_UNDERFLOW, OMPC_EXTREME_RANGE])
+# the free first row starts no trial; the second, whose start point
+# underflows, starts the first one
+OMPC_START_UNDERFLOW_AFTER_A_FREE_ROW = """mixpc-instance v1
+kind ompc
+m 2
+n 3
+packing 2
+0 0 1e154
+1 1 1.0
+covering 2
+2:1.0
+0:6e153 1:1.0
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [OMPC_START_UNDERFLOW, OMPC_EXTREME_RANGE, OMPC_START_UNDERFLOW_AFTER_A_FREE_ROW],
+)
 def test_cli_start_point_out_of_range_is_an_input_error(text, tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text(text)
@@ -591,6 +616,51 @@ def test_cli_start_point_out_of_range_is_an_input_error(text, tmp_path, capsys):
     # the oracle rejects the same range, with the same line, before its simplex
     assert main(["oracle", "--instance", str(path)]) == 2
     assert capsys.readouterr().err == err
+
+
+# row 0 holds variable 1, whose packing column is empty: it is free and
+# says nothing about OPT, so the start point comes from row 1
+OMPC_FREE_FIRST_ROW = """mixpc-instance v1
+kind ompc
+m 1
+n 2
+packing 1
+0 0 1.0
+covering 2
+0:1.0 1:1.0
+0:1000000000.0
+end
+"""
+
+# the free first row alone carries a coefficient whose start point would
+# underflow, so neither command rejects the range
+OMPC_WIDE_FREE_FIRST_ROW = """mixpc-instance v1
+kind ompc
+m 2
+n 3
+packing 2
+0 0 1e154
+1 1 1.0
+covering 2
+0:6e153 1:1.0 2:1.0
+1:1.0
+end
+"""
+
+
+def test_cli_free_first_row_opens_no_trial(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(OMPC_FREE_FIRST_ROW)
+    assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = dict(line.split(" ", 1) for line in out.out.splitlines())
+    assert lines["lambda"] == lines["oracle"] == "1e-09"
+    assert lines["trials"] == "1"
+    path.write_text(OMPC_WIDE_FREE_FIRST_ROW)
+    assert main(["solve-ompc", "--instance", str(path)]) == 0
+    assert main(["oracle", "--instance", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
