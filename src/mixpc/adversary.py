@@ -46,7 +46,8 @@ COVER_SLACK = 1e-12
 
 
 class ProtocolError(RuntimeError):
-    """The online responder returned an invalid (uncovering or shrinking) x."""
+    """The online responder returned an invalid x: uncovering, shrinking,
+    negative or non-finite."""
 
 
 class Responder(Protocol):
@@ -102,6 +103,8 @@ class _GameContext:
         x = np.asarray(self.responder.respond(row), dtype=np.float64)
         if x.shape != (self.n,):
             raise ProtocolError(f"responder returned shape {x.shape}, wanted ({self.n},)")
+        if not np.all((x >= 0.0) & (x < np.inf)):  # NaN fails both
+            raise ProtocolError("responder returned a negative or non-finite entry")
         if row.coverage(x) < 1.0 - COVER_SLACK:
             raise ProtocolError("responder left the covering row unsatisfied")
         if self.x is not None and np.any(x < self.x - 1e-12):
@@ -109,14 +112,6 @@ class _GameContext:
         self.transcript.append(row)
         self.x = x
         return x
-
-
-def _argmax_lowest(x: np.ndarray, members: list[int]) -> int:
-    best = members[0]
-    for j in members[1:]:
-        if x[j] > x[best]:
-            best = j
-    return best
 
 
 def two_block_game(
@@ -136,8 +131,9 @@ def two_block_game(
     d = len(b1)
     for _ in range(d - 1):
         x = ctx.issue(np.array(sorted(b1 + b2), dtype=np.int64))
-        b1.remove(_argmax_lowest(x, b1))
-        b2.remove(_argmax_lowest(x, b2))
+        # np.argmax keeps the first of equal maxima
+        b1.remove(b1[int(np.argmax(x[b1]))])
+        b2.remove(b2[int(np.argmax(x[b2]))])
     ctx.issue(np.array(sorted(b1 + b2), dtype=np.int64))
     return b1[0], b2[0]
 

@@ -83,6 +83,31 @@ def test_protocol_error_on_shrinking_responder():
         ctx.issue(np.array([0, 1]))
 
 
+class Fixed:
+    """Answers every row with the same x."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=np.float64)
+
+    def respond(self, row):
+        return self.x.copy()
+
+
+# NaN passes both the coverage and the decrease comparisons, and
+# [2, -0.5] covers the row at 1.5
+@pytest.mark.parametrize("x", [[np.nan, np.nan], [np.inf, 1.0], [2.0, -0.5]])
+def test_protocol_error_on_a_negative_or_non_finite_entry(x):
+    ctx = _GameContext(responder=Fixed(x), n=2)
+    with pytest.raises(ProtocolError, match="negative or non-finite"):
+        ctx.issue(np.array([0, 1]))
+    assert ctx.transcript == [] and ctx.x is None
+
+
+def test_tree_adversary_rejects_a_nan_responder():
+    with pytest.raises(ProtocolError, match="negative or non-finite"):
+        tree_adversary(2, 2, lambda system: Fixed(np.full(system.n, np.nan)))
+
+
 def test_tree_adversary_m2_d2_uniform():
     res = tree_adversary(2, 2, lambda s: UniformResponder(s.n))
     assert res.algorithm_value() >= harmonic(2) / 2 - 1e-12
