@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixpc import (
     CoveringRow,
@@ -17,8 +19,9 @@ from mixpc import (
     solve_online,
 )
 from mixpc.instances import OmpcInstance
-from mixpc.runner import ompc_phase_budget, ompc_sigma
+from mixpc.runner import ompc_bound, ompc_phase_budget, ompc_sigma
 from mixpc.solver import mu_for
+from reference_maths import exact_ompc_opt
 
 E = math.e
 
@@ -393,3 +396,49 @@ def test_random_01_instances_within_competitive_bound():
 def test_solve_online_rejects_empty_stream():
     with pytest.raises(ValueError):
         solve_online(PackingSystem(np.array([[1.0]])), [])
+
+
+# half of the coefficients span 24 decades, half sit in [0.1, 4)
+_COEFFICIENT = st.one_of(
+    st.floats(-12.0, 12.0).map(lambda u: 10.0**u),
+    st.floats(0.1, 4.0, exclude_max=True),
+)
+
+
+@st.composite
+def _small_ompc(draw):
+    """A packing matrix (m <= 3, n <= 4, each entry present with
+    probability 0.6) and 1-4 covering rows as (indices, values) pairs."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    matrix = np.zeros((m, n))
+    for k in range(m):
+        for j in range(n):
+            if draw(st.integers(0, 4)) < 3:
+                matrix[k, j] = draw(_COEFFICIENT)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        rows.append((idx, [draw(_COEFFICIENT) for _ in idx]))
+    return matrix, rows
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(_small_ompc())
+# the first row is free: variable 1 has an empty packing column
+@example((np.array([[1.0, 0.0]]), [([0, 1], [1.0, 1.0]), ([0], [1e9])]))
+def test_solver_within_its_bound_of_the_exact_optimum(instance):
+    matrix, rows = instance
+    try:
+        system = PackingSystem(matrix)
+        rows = [CoveringRow(idx, val) for idx, val in rows]
+        sol = solve_online(system, rows)
+    except ValueError:  # no positive packing entry, or the start point out of range
+        return
+    opt = float(exact_ompc_opt(system, rows))
+    if opt == 0.0:
+        assert sol.lambda_value == 0.0
+        assert sol.trials == ()
+    else:
+        bound = ompc_bound(OmpcInstance(system, tuple(rows)))
+        assert sol.lambda_value <= bound * opt * (1 + 1e-9)
