@@ -29,7 +29,7 @@ from .runner import (
     run_experiment,
     z_epochs_bound,
 )
-from .solver import solve_online, start_point, start_row, start_scale
+from .solver import free_entry, solve_online, start_point, start_scale
 
 
 def _load(path: str):
@@ -134,8 +134,10 @@ def _cmd_oracle(args) -> int:
     if isinstance(inst, OmpcInstance):
         if args.z is not None or args.brute:
             raise ValueError("--z and --brute apply only to an assignment instance")
-        # the coefficient range solve-ompc rejects is an input error here too
-        first = start_row(inst.system, inst.rows)
+        # the coefficient range solve-ompc rejects is an input error here too,
+        # read from the row its first trial starts from, the first not free
+        nonzeros = inst.system.column_nonzeros()
+        first = next((r for r in inst.rows if free_entry(nonzeros, r) is None), None)
         if first is not None:
             start_point(inst.system, first, start_scale(inst.system, first))
         opt = ompc_opt(inst.system, list(inst.rows))

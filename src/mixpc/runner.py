@@ -187,8 +187,8 @@ def check_ompc_run(
     """All bound checks for one solved stream; returns violation messages.
 
     At ``OPT = 0`` neither ratio holds.  Every covering row then holds a variable
-    with an empty packing column, which the solver raises without running a
-    phase, so each trial must have run none.
+    with an empty packing column, so the solver starts no trial, and any
+    trial a run reports must have run no phase.
     """
     out: list[str] = []
     sigma = ompc_sigma(instance)

@@ -27,7 +27,6 @@ __all__ = [
     "OmpcSolution",
     "OnlineOmpcSolver",
     "free_entry",
-    "start_row",
     "start_scale",
     "start_point",
     "init_trial",
@@ -81,20 +80,10 @@ class OmpcTrialState:
 
 
 def free_entry(nonzeros: np.ndarray, row: CoveringRow) -> int | None:
-    """Position in ``row`` of its lowest variable whose packing column is all
-    zero, by the per-column counts ``nonzeros``; None when it has none.
-
-    A row with such a variable is *free*: it is met at no packing load.
-    """
+    """Position in ``row`` of its lowest variable with no packing entry, by
+    the column counts ``nonzeros``, or None.  A *free* row has one."""
     zero_cols = np.flatnonzero(nonzeros[row.indices] == 0)
     return int(zero_cols[0]) if zero_cols.size else None
-
-
-def start_row(system: PackingSystem, rows) -> CoveringRow | None:
-    """The row ``OnlineOmpcSolver`` starts its first trial from: the first
-    row that is not free, or None when every row is."""
-    nonzeros = system.column_nonzeros()
-    return next((row for row in rows if free_entry(nonzeros, row) is None), None)
 
 
 def start_scale(system: PackingSystem, first_row: CoveringRow) -> float:
@@ -107,7 +96,8 @@ def start_point(system: PackingSystem, first_row: CoveringRow, gamma: float) -> 
     """Every variable's start value ``x0 = 1 / (d1^2 rho kappa1)``.
 
     ``d1`` is the largest support over the packing rows and the first
-    covering row; ``kappa1`` the first row's largest coefficient.  Raises
+    covering row that is not free; ``kappa1`` that row's largest
+    coefficient.  Raises
     ``ValueError`` when ``x0`` or ``gamma`` is not positive and finite,
     which happens when the coefficients span more than floats hold.
     """
@@ -234,10 +224,10 @@ class OmpcSolution:
 class OnlineOmpcSolver:
     """Streaming interface: feed covering rows, read back the aggregate x.
 
-    A free row (see ``free_entry``) says nothing about OPT, so until a
-    trial has started it opens none: it is covered in the closed aggregate,
-    the way ``process_constraint`` covers it.  The first row that is not
-    free fixes ``d1``/``kappa1`` and the starting scale
+    A free row (``free_entry``) is met at no load and says nothing about
+    OPT: until a trial starts, it is covered in the closed aggregate as
+    ``process_constraint`` would.  The first row that is not free fixes
+    ``d1``/``kappa1`` and the starting scale
     ``gamma = max p_kj / (d1 rho kappa1)``; afterwards every failed trial
     doubles ``gamma`` and replays the row that broke it, and a row offered
     after ``finish`` resumes at the last trial's ``gamma``.  Rows satisfied
