@@ -18,7 +18,6 @@ from mixpc import (
 )
 from mixpc import cli
 from mixpc.cli import main
-from mixpc.solver import TrialRecord, init_trial, process_constraint
 from mixpc.runner import (
     ExperimentConfig,
     check_ccfl_run,
@@ -28,6 +27,7 @@ from mixpc.runner import (
     suite_ompc_adversary,
     suite_ompc_random,
 )
+from mixpc.solver import TrialRecord, init_trial, process_constraint
 
 REPORT_HEADER = (
     "instance,seed,algorithm,m,n,d,rho,kappa,sigma,online,oracle,ratio,bound,"
