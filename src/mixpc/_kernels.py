@@ -47,8 +47,10 @@ FAILED = 1
 #   (status, phases, dual_inc, max_tl, min_gap)
 # where min_gap is the least per-phase primal-dual gap, the dual increase
 # e * eps minus the increase of the penalty estimate, over the phases run
-# (inf when none ran).  A row covered at entry returns before it gathers
-# its columns and touches none of the arrays.
+# (inf when none ran).  A row covered at entry computes one softmax, runs
+# no phase, writes x[idx] back unchanged and returns (SATISFIED, 0, 0.0,
+# max_tl, inf); the solver tests coverage before it calls the kernel, so
+# it never passes one.
 #
 # The softmax over the packing rows is computed once per phase.  The
 # softmax after phase k's update (hi, w, s and the estimate hi + log s) is
@@ -65,8 +67,6 @@ FAILED = 1
 def ompc_row_phases(pt, idx, val, x, pvx, z, max_tl, mu, fail_level, slack):
     xi = x[idx]
     cover = float(val @ xi)
-    if not cover < 1.0 - slack:
-        return SATISFIED, 0, 0.0, max_tl, math.inf
     pcols = pt[:, idx]
     hi = pvx.max()
     w = np.exp(pvx - hi)

@@ -178,7 +178,10 @@ def tree_adversary(
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError("d must be a power of two, at least 1")
     n = 2 * (m - 1) * d
-    matrix = np.zeros((m, n))
+    try:
+        matrix = np.zeros((m, n))
+    except (MemoryError, ValueError):
+        raise ValueError(f"cannot allocate a {m}x{n} packing matrix") from None
     for leaf in range(m, 2 * m):
         node = leaf
         while node != 1:

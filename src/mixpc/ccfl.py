@@ -357,6 +357,7 @@ class CcflDualCertificate:
     beta: np.ndarray  # scaled, per (facility, client); 0 off entered pairs
     gamma_: np.ndarray  # scaled, per facility
     delta: np.ndarray  # scaled, per facility
+    nu: float  # the scale, 1 + ln(mn) + max scaled violation
 
 
 def ccfl_dual_certificate(state: CcflTrialState) -> CcflDualCertificate:
@@ -382,6 +383,7 @@ def ccfl_dual_certificate(state: CcflTrialState) -> CcflDualCertificate:
         beta=beta_raw * _E**2 / (nu * sig),
         gamma_=gamma_raw * _E**2 / (nu * sig),
         delta=delta_raw * _E**2 / (nu * sig),
+        nu=nu,
     )
 
 

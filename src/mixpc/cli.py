@@ -48,10 +48,6 @@ def _write(path: str, text: str) -> None:
         raise SystemExit(f"cannot write {path}: {exc}") from None
 
 
-def _decision_log_text(decision_log) -> str:
-    return "".join(json.dumps(rec) + "\n" for rec in decision_log)
-
-
 def _exit_code(violations: list[str]) -> int:
     """Print each violation to stderr; 1 if there were any, else 0."""
     for v in violations:
@@ -102,7 +98,8 @@ def _cmd_solve_ccfl(args) -> int:
     print(f"final_z {result.final_z!r}")
     print(f"per_epoch_total {result.per_epoch_total!r}")
     if args.out:
-        _write(args.out, _decision_log_text(result.decision_log))
+        log = "".join(json.dumps(rec) + "\n" for rec in result.decision_log)
+        _write(args.out, log)
         print(f"decision log -> {args.out}")
     if args.bound_check:
         try:
@@ -113,19 +110,6 @@ def _cmd_solve_ccfl(args) -> int:
         print(f"zstar {zstar!r}")
         print(f"bound {z_epochs_bound(inst, zstar, result.epoch_constant)!r}")
         return _exit_code(check_z_epochs_run(inst, result, zstar, args.instance))
-    return 0
-
-
-def _cmd_round(args) -> int:
-    inst = _load(args.instance)
-    if not isinstance(inst, CcflInstance):
-        print("round needs a facility/client instance", file=sys.stderr)
-        return 2
-    result = z_epochs(inst, seed=args.seed, epoch_constant=args.epoch_constant)
-    log = _decision_log_text(result.decision_log)
-    sys.stdout.write(log)
-    if args.out:
-        _write(args.out, log)
     return 0
 
 
@@ -224,12 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         _cmd_solve_ccfl,
         "--instance --seed --out --bound-check --epoch-constant",
         "full integral pipeline with Z doubling",
-    )
-    command(
-        "round",
-        _cmd_round,
-        "--instance --seed --out --epoch-constant",
-        "emit the per-client rounding decision log",
     )
     p = command("oracle", _cmd_oracle, "--instance", "offline optimum of an instance")
     guess = p.add_mutually_exclusive_group()

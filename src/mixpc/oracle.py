@@ -381,4 +381,7 @@ def brute_force_zstar(instance) -> float:
             open_mask[i] = opened
 
     dfs(0, 0.0, 0.0, 0.0)
-    return float(best)
+    # the search adds each client's terms in another order than its entry
+    # costs, so its total can land an ulp below a least entry cost, where
+    # that client would have no candidate
+    return max(float(best), *(instance.min_entry_cost(j) for j in range(n)))

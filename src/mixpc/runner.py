@@ -130,21 +130,29 @@ def report_to_csv(report: ExperimentReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mu_and_spread(instance: OmpcInstance) -> tuple[float, float]:
-    """``mu`` and ``mu d^2 rho kappa`` from the full stream."""
+def _mu_and_log_spread(instance: OmpcInstance) -> tuple[float, float]:
+    """``mu`` and ``ln(mu d^2 rho kappa)`` from the full stream.
+
+    The factors' logs are summed only when the product passes the float
+    range, so every spread within it keeps the bits of its own log.
+    """
     mu = mu_for(instance.system.m)
-    return mu, mu * instance.d**2 * instance.system.rho * instance.kappa
+    factors = (mu, instance.d**2, instance.system.rho, instance.kappa)
+    spread = math.prod(factors)
+    if math.isfinite(spread):
+        return mu, math.log(spread)
+    return mu, sum(map(math.log, factors))
 
 
 def ompc_sigma(instance: OmpcInstance) -> float:
     """Post-hoc ``e^2 ln(mu d^2 rho kappa)`` from the full stream."""
-    return _E**2 * math.log(_mu_and_spread(instance)[1])
+    return _E**2 * _mu_and_log_spread(instance)[1]
 
 
 def ompc_phase_budget(instance: OmpcInstance) -> int:
     """Per-trial phase allowance ``n * ceil(log_mu(mu d^2 rho kappa))``."""
-    mu, arg = _mu_and_spread(instance)
-    return instance.system.n * math.ceil(math.log(arg) / math.log(mu))
+    mu, log_spread = _mu_and_log_spread(instance)
+    return instance.system.n * math.ceil(log_spread / math.log(mu))
 
 
 def ompc_bound(instance: OmpcInstance) -> float:
@@ -254,8 +262,11 @@ def check_ccfl_run(
         cert = ccfl_dual_certificate(st)
         if float(cert.delta.sum()) - zz > DUAL_TOL * max(1.0, zz):
             out.append(f"{label}: trial {t} dual family-3 infeasible")
-        fam2 = cert.beta.sum(axis=1) + zz * cert.gamma_ - cert.delta - c
-        if float((fam2 / np.maximum(1.0, c)).max()) > DUAL_TOL:
+        # family 2 without its cancelling Z chi and Z eta terms: at c_i > 0
+        # it reads e^2 sum_j z_ratio_log[i, j] / sigma + 1/2 <= nu, and at
+        # c_i = 0 both of its sides are 0
+        fam2 = _E**2 * st.z_ratio_log[c > 0].sum(axis=1) / instance.sigma + 0.5
+        if float(fam2.max(initial=-math.inf)) - cert.nu > DUAL_TOL * cert.nu:
             out.append(f"{label}: trial {t} dual family-2 infeasible")
         # family 1 on the entered pairs, where x > 0
         lhs = st.gamma * cert.alpha - cert.beta - p * cert.gamma_[:, None] - a

@@ -156,8 +156,7 @@ def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> 
     nonzeros = state.system.column_nonzeros()
     pt = state.system.scaled(state.gamma)
 
-    # the kernel's own entry test, so a row it would return from at once
-    # costs one dot product and leaves the trial exactly as the kernel would
+    # a row met at entry costs one dot product, not the kernel's softmax
     if not row.coverage(state.x) < 1.0 - SAT_SLACK:
         return True
 

@@ -183,6 +183,50 @@ def test_check_ccfl_run_flags_opt1_below_z():
     assert check_ccfl_run(inst, sol, 0.999 * zstar, "run") == ["run: OPT1 below Z"]
 
 
+# the brute-force sum lands one ulp below client 1's least entry cost
+CCFL_ZSTAR_BELOW_ENTRY_COST = """mixpc-instance v1
+kind ccfl
+m 3
+n 2
+facilities 3
+1.5603548320308611 0.014073525140156959
+2.337736596716123e-12 0.46121422287024627
+2.3051594432915556 8.365587650752198e-10
+clients 2
+0:4.568706860902092e-11:3.6768752356269347 1:2.425330117791903:0.0 2:0.009358525447340518:0.0
+0:0.18814359822839047:786322.9193594854 1:2.239926879092805:24051362.420047503
+end
+"""
+
+# family 2 written out cancels terms near 3e21 at facility 1, where c = 9.6e-9
+CCFL_FAMILY2_CANCELLATION = """mixpc-instance v1
+kind ccfl
+m 2
+n 2
+facilities 2
+832369636.9555813 3.1787449325054022
+9.642780334104179e-09 3.555938039226166
+clients 2
+0:13310903.914639061:1.9634982639002394 1:9.691212432664594e-09:0.0211535585747842
+0:9.240721333644202e-10:1.0107160934944851e-05 1:481679.7056933765:269893103536.16254
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [CCFL_ZSTAR_BELOW_ENTRY_COST, CCFL_FAMILY2_CANCELLATION],
+    ids=["zstar-below-entry-cost", "family2-cancellation"],
+)
+def test_ccfl_run_at_the_brute_force_zstar_passes_its_checks(text):
+    inst = parse_instance(text)
+    zstar = brute_force_zstar(inst)
+    assert all(zstar >= inst.min_entry_cost(j) for j in range(inst.n))
+    opt1 = ccfl_opt1(inst, zstar)
+    assert opt1.status == "optimal"
+    assert check_ccfl_run(inst, gamma_trials(inst, zstar), opt1.objective, "run") == []
+
+
 def test_check_ccfl_run_flags_doctored_dual_families():
     # each dual family and weak duality, set off by one doctored field of the
     # failed first trial of a run that passes; that trial's last clients
@@ -332,7 +376,23 @@ def test_cli_adversary_bound_check_checks_the_witness(monkeypatch, capsys):
     assert main(argv) == 0
 
 
-def test_cli_solve_ccfl_and_round(tmp_path, capsys):
+# sizes whose packing matrix fails before any page is touched: 16 PiB of
+# floats, and a size numpy refuses outright
+@pytest.mark.parametrize("m, d", [(2**20, 2**10), (2**40, 2**20)])
+def test_cli_adversary_too_large_to_allocate_is_an_input_error(m, d, capsys):
+    assert main(["adversary", "--m", str(m), "--d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    n = 2 * (m - 1) * d
+    assert captured.err == f"input error: cannot allocate a {m}x{n} packing matrix\n"
+
+
+# sha256 of the decision log solve-ccfl --out writes for gen_random_ccfl(3, 4,
+# seed=6) at --seed 4, the same bytes the retired round command printed
+CCFL_LOG_SHA256 = "f3760cd389174d3ef2472cd58b58f69631734397cb61b18ec13d55e018b79fc6"
+
+
+def test_cli_solve_ccfl_writes_the_decision_log(tmp_path):
     inst = gen_random_ccfl(3, 4, seed=6)
     path = tmp_path / "ccfl.txt"
     path.write_text(emit_instance(inst))
@@ -353,10 +413,17 @@ def test_cli_solve_ccfl_and_round(tmp_path, capsys):
     records = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert len(records) == 4
     assert all(r["assigned"] >= 0 for r in records)
-    code = main(["round", "--instance", str(path), "--seed", "4"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.count('"client"') == 4
+    assert hashlib.sha256(log_path.read_bytes()).hexdigest() == CCFL_LOG_SHA256
+
+
+def test_cli_round_is_not_a_command(capsys):
+    # argparse rejects the command before it reads any option or file
+    with pytest.raises(SystemExit) as exc:
+        main(["round", "--instance", "ccfl.txt", "--seed", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument command: invalid choice: 'round'" in captured.err
 
 
 def test_cli_solve_ccfl_bound_check_flags_cost_above_the_epoch_cap(tmp_path, capsys):
@@ -495,7 +562,6 @@ def test_cli_suite_rejects_sizes_it_would_replace_or_ignore(
         ("solve-ompc", "--epoch-constant 3"),
         ("adversary", "--seed 5"),
         ("adversary", "--epoch-constant 3"),
-        ("round", "--bound-check"),
         ("oracle", "--seed 5"),
         ("oracle", "--out out.txt"),
         ("oracle", "--bound-check"),
@@ -511,7 +577,6 @@ def test_cli_rejects_options_the_command_does_not_read(
     required = {
         "solve-ompc": ["--instance", "inst.txt"],
         "adversary": ["--m", "2", "--d", "2"],
-        "round": ["--instance", "inst.txt"],
         "oracle": ["--instance", "inst.txt", "--brute"],
         "suite": ["--name", "ompc-random", "--count", "1"],
     }[command]
@@ -527,7 +592,6 @@ def test_cli_rejects_options_the_command_does_not_read(
         "suite --name ompc-random --count 1",
         "adversary --m 2 --d 2",
         "solve-ccfl --instance ccfl.txt",
-        "round --instance ccfl.txt",
     ],
 )
 def test_cli_unwritable_out_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
@@ -661,6 +725,17 @@ def test_cli_free_first_row_opens_no_trial(tmp_path, capsys):
     assert main(["solve-ompc", "--instance", str(path)]) == 0
     assert main(["oracle", "--instance", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_bound_check_takes_the_log_of_a_spread_beyond_floats(tmp_path, capsys):
+    # mu d^2 rho kappa passes the float range here; its log does not
+    path = tmp_path / "inst.txt"
+    path.write_text(OMPC_WIDE_FREE_FIRST_ROW)
+    assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = dict(line.split(" ", 1) for line in out.out.splitlines())
+    assert lines["bound"] == "284669.74926647905"
 
 
 def test_cli_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -822,7 +897,7 @@ def test_cli_oracle_z_and_brute_are_exclusive(kind, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("constant", ["nan", "inf", "-1", "0"])
-@pytest.mark.parametrize("command", ["solve-ccfl --bound-check", "round"])
+@pytest.mark.parametrize("command", ["solve-ccfl --bound-check"])
 def test_cli_epoch_constant_must_be_finite_and_positive(
     command, constant, tmp_path, capsys
 ):
