@@ -397,8 +397,10 @@ class CcflFractionalSolver:
 
     ``offer(j)`` runs the arriving client through the current trial,
     doubling ``gamma`` (with fresh variables) whenever the trial fails.
-    Each attempt changes only column j of its trial's ``x``, and adds that
-    column in place to ``x_aggregate``, the live sum over all trials.
+    The first offer opens a trial at ``gamma = 1``, and an offer after
+    ``finish`` resumes at the last trial's ``gamma``.  Each attempt changes
+    only column j of its trial's ``x``, and adds that column in place to
+    ``x_aggregate``, the live sum over all trials.
     """
 
     def __init__(self, instance: CcflInstance, z_value: float):
@@ -406,9 +408,12 @@ class CcflFractionalSolver:
         self.z_value = float(z_value)
         self.x_aggregate = np.zeros((instance.m, instance.n))
         self._records: list[CcflTrialState] = []
-        self.state = new_trial(instance, z_value, gamma=1.0)
+        self.state: CcflTrialState | None = None
 
     def offer(self, j: int) -> None:
+        if self.state is None:
+            gamma = self._records[-1].gamma if self._records else 1.0
+            self.state = new_trial(self.instance, self.z_value, gamma)
         while not assign_fractional(self.state, j):
             self.x_aggregate[:, j] += self.state.x[:, j]
             self._records.append(self.state)
@@ -416,9 +421,9 @@ class CcflFractionalSolver:
         self.x_aggregate[:, j] += self.state.x[:, j]
 
     def finish(self) -> "CcflFractionalSolution":
-        if self.state.phases_per_client.any():
+        if self.state is not None and self.state.phases_per_client.any():
             self._records.append(self.state)
-            self.state = new_trial(self.instance, self.z_value, self.state.gamma)
+            self.state = None
         cost = 0.0
         for st in self._records:
             cost += st.gamma * st.potential

@@ -228,12 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, SystemExit) as exc:  # ParseError is a ValueError
-        if isinstance(exc, SystemExit):
-            if isinstance(exc.code, int):
-                return exc.code
-            print(exc, file=sys.stderr)
-            return 2
+    except SystemExit as exc:  # _load and _write give it a message
+        print(exc, file=sys.stderr)
+        return 2
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

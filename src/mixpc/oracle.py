@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoveringRow, PackingSystem, violation
+from .core import CoveringRow, PackingSystem
+from .solver import free_entry
 
 __all__ = [
     "LpProblem",
@@ -210,43 +211,46 @@ class OmpcOptResult:
 def ompc_opt(system: PackingSystem, rows: list[CoveringRow]) -> OmpcOptResult:
     """Offline optimum of: min lambda s.t. C x >= 1, P x <= lambda.
 
-    Variables are ``(x, lambda)``; covering rows come first so the returned
-    duals split into the covering multipliers ``y`` and (negated) packing
-    multipliers ``z`` of the dual program.
+    A free row (``solver.free_entry``) is met at no load by raising its
+    lowest free variable to ``1/c_j``, as the online solver meets it; it
+    leaves the LP and its dual is 0.  The other rows go to the simplex over
+    ``(x, lambda)``, covering rows first, so its duals split into the
+    covering multipliers ``y`` and (negated) packing multipliers ``z``.
+    With every row free only ``P x <= lambda`` is left, whose start basis
+    is optimal at exactly 0.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("need at least one covering row")
     m, n = system.m, system.n
-    mc = len(rows)
+    nonzeros = system.column_nonzeros()
+    free = [free_entry(nonzeros, row) for row in rows]
+    kept = [i for i, t in enumerate(free) if t is None]
+    mc = len(kept)
     nv = n + 1
     lhs = np.zeros((mc + m, nv))
-    senses: list[str] = []
     rhs = np.zeros(mc + m)
-    for i, row in enumerate(rows):
-        lhs[i, row.indices] = row.values
-        senses.append(">=")
-        rhs[i] = 1.0
+    for k, i in enumerate(kept):
+        lhs[k, rows[i].indices] = rows[i].values
+        rhs[k] = 1.0
     lhs[mc : mc + m, :n] = system.matrix
     lhs[mc : mc + m, n] = -1.0
-    senses.extend(["<="] * m)
+    senses = (">=",) * mc + ("<=",) * m
     obj = np.zeros(nv)
     obj[n] = 1.0
-    sol = simplex_solve(LpProblem(obj, lhs, tuple(senses), rhs))
+    sol = simplex_solve(LpProblem(obj, lhs, senses, rhs))
     if sol.status != "optimal":
         raise RuntimeError(f"offline packing/covering LP came back {sol.status}")
     x = sol.primal[:n]
-    y = np.maximum(sol.duals[:mc], 0.0)
+    for row, t in zip(rows, free):
+        if t is not None:
+            j = int(row.indices[t])
+            x[j] = max(x[j], 1.0 / row.values[t])
+    y = np.zeros(len(rows))
+    y[kept] = np.maximum(sol.duals[:mc], 0.0)
     z = np.maximum(-sol.duals[mc:], 0.0)
-    # a primal that loads no packing row proves OPT = 0, as lambda >= 0;
-    # return that exactly, not the simplex's rounding noise around it.  Its
-    # dual is y = 0, which stays feasible with any z >= 0, so weak duality
-    # holds against the returned optimum too
-    opt_zero = violation(system, x) == 0.0
-    if opt_zero:
-        y = np.zeros(mc)
     return OmpcOptResult(
-        value=0.0 if opt_zero else float(sol.objective),
+        value=float(sol.objective),
         x=x,
         y=y,
         z=z,
@@ -338,28 +342,6 @@ def brute_force_zstar(instance) -> float:
     best = math.inf
     loads = [0.0] * m
     open_mask = [False] * m
-
-    def greedy() -> float:
-        lo = [0.0] * m
-        om = [False] * m
-        fixed = assign = 0.0
-        for pos in range(n):
-            j = client_order[pos]
-            cands = []
-            lmax = max(lo)
-            for i, d, acost in choices[j]:
-                delta_fix = 0.0 if om[i] else cfix[i]
-                new_max = max(lmax, lo[i] + d)
-                cands.append((delta_fix + acost + new_max, i, d, acost))
-            _, i, d, acost = min(cands)
-            if not om[i]:
-                om[i] = True
-                fixed += cfix[i]
-            lo[i] += d
-            assign += acost
-        return fixed + assign + max(lo)
-
-    best = greedy()
 
     def dfs(pos: int, fixed: float, assign: float, maxload: float) -> None:
         nonlocal best

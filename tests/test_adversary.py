@@ -16,6 +16,7 @@ from mixpc import (
 )
 from mixpc.adversary import ProtocolError, _GameContext, two_block_game
 from mixpc.core import PackingSystem
+from mixpc.runner import check_adversary_run
 
 
 def test_two_block_game_d1():
@@ -146,6 +147,33 @@ def test_marks_are_antichain():
         while v >= 1:
             assert v not in marked
             v //= 2
+
+
+class HighestIndexResponder:
+    """Meets each deficit on the row's highest-index variable, so the right
+    block always outweighs the left one."""
+
+    def __init__(self, n: int):
+        self.x = np.zeros(n)
+
+    def respond(self, row):
+        deficit = 1.0 - row.coverage(self.x)
+        if deficit > 0:
+            self.x[row.indices[-1]] += deficit / row.values[-1]
+        return self.x.copy()
+
+
+@pytest.mark.parametrize(
+    "m, d, marked, value",
+    [(4, 2, (2, 6), 4.0), (8, 4, (2, 6, 14), 12.0)],
+)
+def test_tree_adversary_marks_the_left_child_under_a_heavier_right(m, d, marked, value):
+    res = tree_adversary(m, d, lambda s: HighestIndexResponder(s.n))
+    assert res.marked == marked
+    assert res.algorithm_value() == value
+    assert res.lower_bound == pytest.approx(math.log2(m) * harmonic(d) / 2.0)
+    assert value > res.lower_bound
+    assert check_adversary_run(res, optimal_witness(res), "adv") == []
 
 
 def test_tree_adversary_rejects_bad_sizes():

@@ -18,6 +18,7 @@ from mixpc import (
 )
 from mixpc import _kernels, ccfl
 from mixpc.ccfl import CcflClient, CcflFractionalSolver, new_trial
+from mixpc.runner import _ccfl_random_instance
 from reference_maths import TieTracker, ccfl_rates, reference_cost
 
 E = math.e
@@ -393,6 +394,28 @@ def test_gamma_never_drops_across_a_finish():
     gammas = [st.gamma for st in solver.finish().trials]
     assert [st.gamma for st in first.trials] == [1.0, 2.0]
     assert gammas == [1.0, 2.0, 2.0]
+
+
+def test_gamma_trials_opens_exactly_the_trials_it_returns(monkeypatch):
+    # a trial opens when a client needs one, never after the run closes
+    opened = []
+
+    def counting_new_trial(*args, **kwargs):
+        opened.append(new_trial(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(ccfl, "new_trial", counting_new_trial)
+    runs = [_heavy_instance()]
+    for idx in range(5):
+        inst = _ccfl_random_instance(11, idx)
+        runs.append((inst, brute_force_zstar(inst)))
+    counts = []
+    for inst, z in runs:
+        opened.clear()
+        sol = gamma_trials(inst, z)
+        assert list(map(id, opened)) == list(map(id, sol.trials))
+        counts.append(len(opened))
+    assert counts == [2, 1, 1, 1, 1, 1]
 
 
 def test_cumulative_cost_dominates_aggregate_objective():

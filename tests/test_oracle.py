@@ -14,6 +14,7 @@ from mixpc import (
     simplex_solve,
     umsc_lower_bound,
     umsc_to_ccfl,
+    violation,
 )
 from mixpc.ccfl import CcflClient, CcflInstance
 from mixpc.oracle import _Tableau
@@ -63,6 +64,28 @@ def test_statuses():
 def test_lp_problem_rejects_unsupported_rows(senses, rhs):
     with pytest.raises(ValueError):
         LpProblem(np.array([1.0]), np.array([[1.0]]), senses, np.array(rhs))
+
+
+def test_phase_1_pivots_an_artificial_out_of_the_basis():
+    # min x2 s.t. -x1 + 2 x2 >= 2, -2 x1 + 2 x2 >= 0, x1 - x2 >= 0: phase 1
+    # ends with an artificial basic at 0, which a real column replaces
+    prob = LpProblem(
+        np.array([0.0, 1.0]),
+        np.array([[-1.0, 2.0], [-2.0, 2.0], [1.0, -1.0]]),
+        (">=", ">=", ">="),
+        np.array([2.0, 0.0, 0.0]),
+    )
+    sol = simplex_solve(prob)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(2.0, abs=1e-12)
+    assert sol.primal == pytest.approx([2.0, 2.0], abs=1e-12)
+    assert float(prob.rhs @ sol.duals) == pytest.approx(sol.objective, abs=1e-12)
+    assert float((prob.objective - prob.lhs.T @ sol.duals).min()) >= -1e-12
+    ref = scipy.optimize.linprog(
+        prob.objective, A_ub=-prob.lhs, b_ub=-prob.rhs, bounds=(0, None), method="highs"
+    )
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
 
 
 def _pivot_row_loop(binv, xb, row, d, piv):
@@ -196,6 +219,26 @@ def test_ompc_opt_is_exactly_zero_when_every_row_holds_an_empty_column():
     rows = [CoveringRow([0, 1], [1.0, 2.0]), CoveringRow([1, 2], [0.5, 1.0])]
     assert exact_ompc_opt(system, rows) == 0
     assert ompc_opt(system, rows).value == 0.0
+
+
+def test_ompc_opt_meets_free_rows_by_the_solvers_rule():
+    # variable 0 has an empty packing column, so rows 1-3 are free: each
+    # raises it to 1/c_0, only row 0 reaches the simplex, and their duals are 0
+    system = PackingSystem(np.array([[0.0, 315363694449.4724]]))
+    rows = [
+        CoveringRow([1], [15832505.32321444]),
+        CoveringRow([0, 1], [3.004217789074338e-10, 0.37004388488452555]),
+        CoveringRow([0, 1], [7.288217355564184e-07, 235.11847096799673]),
+        CoveringRow([0, 1], [1.6713792390957698, 3.0709596955923937]),
+    ]
+    res = ompc_opt(system, rows)
+    assert res.value == float(exact_ompc_opt(system, rows)) == 19918.7486763115
+    assert res.x[0] == 1.0 / 3.004217789074338e-10
+    assert min(row.coverage(res.x) for row in rows) >= 1.0 - 1e-12
+    assert violation(system, res.x) == pytest.approx(res.value, rel=1e-12)
+    assert res.y.shape == (4,)
+    assert res.y[1:].tolist() == [0.0, 0.0, 0.0]
+    assert res.dual_value == res.y[0] == pytest.approx(res.value, rel=1e-12)
 
 
 def test_ccfl_opt1_at_least_z():
@@ -340,13 +383,14 @@ def test_brute_force_single_effective_facility():
     [
         (11, 3, 6, "0x1.b704e13998657p+3"),
         (12, 4, 8, "0x1.117528c254d4cp+4"),
-        (13, 4, 10, "0x1.15cd694d4fee7p+4"),
+        (13, 4, 10, "0x1.15cd694d4fee6p+4"),
         (14, 4, 10, "0x1.42c613e9290a8p+4"),
     ],
 )
 def test_brute_force_values_are_pinned(seed, m, n, zstar_hex):
-    # Pinned from the search on numpy scalars; the search on Python floats
-    # makes the same IEEE operations in the same order.
+    # Pinned from the depth-first search alone: each total is its fixed
+    # charges + assignment costs + max load, summed along the search's client
+    # order.  Another order of the same terms may land an ulp away.
     assert brute_force_zstar(gen_random_ccfl(m, n, seed=seed)).hex() == zstar_hex
 
 

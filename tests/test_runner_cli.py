@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mixpc import (
+    MpcResponder,
     brute_force_zstar,
     ccfl_opt1,
     emit_instance,
@@ -13,21 +14,32 @@ from mixpc import (
     gen_random_ccfl,
     gen_random_ompc,
     ompc_opt,
+    optimal_witness,
     parse_instance,
     solve_online,
+    tree_adversary,
 )
 from mixpc import cli
 from mixpc.cli import main
 from mixpc.runner import (
+    CONGESTION_SLACK,
     ExperimentConfig,
+    _mc_opened_cap,
+    ccfl_bound,
+    check_adversary_run,
     check_ccfl_run,
+    check_mc_stats,
     check_ompc_run,
+    ompc_bound,
+    ompc_phase_budget,
     report_to_csv,
     run_experiment,
+    suite_ccfl_mc,
     suite_ompc_adversary,
     suite_ompc_random,
 )
 from mixpc.solver import TrialRecord, init_trial, process_constraint
+from reference_maths import exact_ompc_opt
 
 REPORT_HEADER = (
     "instance,seed,algorithm,m,n,d,rho,kappa,sigma,online,oracle,ratio,bound,"
@@ -152,8 +164,8 @@ def test_opt_zero_is_checked_by_phase_count(tmp_path, capsys):
 
 
 def test_check_ompc_run_flags_doctored_violations():
-    # the two checks that read each trial's own violation, each set off by
-    # one doctored field of a run that passes
+    # every check but the OPT = 0 one, each set off by one doctored value of
+    # a run that passes
     inst = gen_random_ompc(8, 12, 12, 0.6, (1.0, 4.0), seed=11)
     sol = solve_online(inst.system, inst.rows)
     opt = ompc_opt(inst.system, list(inst.rows)).value
@@ -171,6 +183,34 @@ def test_check_ompc_run_flags_doctored_violations():
     ]
     assert check_ompc_run(inst, sol, 2.0 * sol.lambda_value, "run") == [
         "run: online beat the oracle"
+    ]
+    last = sol.trials[-1]
+
+    def check(phases=last.phases, **state):
+        trial = dataclasses.replace(
+            last, phases=phases, state=dataclasses.replace(last.state, **state)
+        )
+        planted = dataclasses.replace(sol, trials=(*sol.trials[:-1], trial))
+        return check_ompc_run(inst, planted, opt, "run")
+
+    bound = ompc_bound(inst)
+    lam = 2.0 * bound * opt
+    # a lambda past the ratio is past the per-trial sum too
+    assert check_ompc_run(inst, dataclasses.replace(sol, lambda_value=lam), opt, "run") == [
+        f"run: online {lam} exceeds {bound} * OPT ({opt})",
+        "run: aggregate violation exceeds per-trial sum",
+    ]
+    budget = ompc_phase_budget(inst)
+    assert check(phases=budget + 1) == [
+        f"run: trial 2 used {budget + 1} phases > budget {budget}"
+    ]
+    assert check(min_pd_gap=-1e-6) == ["run: trial 2 primal-dual gap -1e-06 < -1e-09"]
+    # ten times the packing duals sum past 1
+    fam = check(z_running=10.0 * last.state.z_running)
+    assert len(fam) == 1 and fam[0].startswith("run: trial 2 dual infeasible (")
+    # trial 2's certificate sums to 0.0112; the others' stay below 0.009
+    assert check_ompc_run(inst, sol, 0.009, "run") == [
+        "run: trial 2 weak duality 0.011206864760155415 > OPT 0.009"
     ]
 
 
@@ -270,6 +310,50 @@ def test_check_ccfl_run_flags_doctored_dual_families():
         "run: trial 0 weak duality 214.15010342870164 > OPT1/gamma "
         "112.34538820002483"
     ]
+    # the trial's own primal-dual gap, and the run's two cost checks
+    assert check(min_pd_gap=-1e-6) == ["run: trial 0 primal-dual gap -1e-06 < -1e-09"]
+    cap = ccfl_bound(heavy) * opt1
+    high = dataclasses.replace(sol, cumulative_cost=2.0 * cap)
+    assert check_ccfl_run(heavy, high, opt1, "run") == [
+        f"run: cumulative fractional cost {2.0 * cap} exceeds {cap}"
+    ]
+    low = dataclasses.replace(sol, cumulative_cost=sol.lp1_objective / 2.0)
+    assert check_ccfl_run(heavy, low, opt1, "run") == [
+        "run: aggregate objective exceeds cumulative trial cost"
+    ]
+
+
+def test_check_adversary_run_flags_a_doctored_witness_and_value():
+    result = tree_adversary(4, 2, MpcResponder)
+    witness = optimal_witness(result)
+    assert check_adversary_run(result, witness, "adv") == []
+    assert check_adversary_run(result, 2.0 * witness, "adv") == [
+        "adv: witness violation 2.0 != 1"
+    ]
+    low = dataclasses.replace(result, x_final=result.x_final / 10.0)
+    assert check_adversary_run(low, witness, "adv") == [
+        f"adv: algorithm value {low.algorithm_value()} below bound 1.5"
+    ]
+
+
+def test_check_mc_stats_flags_each_cap():
+    report, stats = suite_ccfl_mc(reps=2000, seed=0)
+    assert report.violations == check_mc_stats(stats) == []
+
+    def check(**doctored):
+        return check_mc_stats(dataclasses.replace(stats, **doctored))
+
+    step4 = check(step4_freq=stats.step4_freq + 0.5)
+    assert len(step4) == 1 and step4[0].startswith("mc: step-4 frequency 0.5 above ")
+    cap = _mc_opened_cap(stats)
+    assert check(mean_opened_cost=2.0 * cap) == [
+        f"mc: mean opened cost {2.0 * cap} above {cap}"
+    ]
+    cong = 2.0 * stats.congestion_bound
+    cong_cap = stats.congestion_bound * (1.0 + CONGESTION_SLACK)
+    assert check(mean_max_candidate_congestion=cong) == [
+        f"mc: mean max candidate congestion {cong} above {cong_cap}"
+    ]
 
 
 def test_cli_solve_ompc_bound_check_flags_online_below_the_oracle(
@@ -289,8 +373,10 @@ def test_cli_solve_ompc_bound_check_flags_online_below_the_oracle(
     assert capsys.readouterr().err == f"VIOLATION {path}: online beat the oracle\n"
 
 
-# OPT = 0, but the simplex's objective came back as -3.5e-18 (A) and
-# 1.0e-9 (B) while its primal loads no packing row
+# OPT = 0, as every row is free: in A, B and C every row holds variable 1,
+# whose packing column is empty, and in D variable 3.  On all rows the
+# simplex returns -3.5e-18 (A), 1.0e-9 (B) and 0.2959661835953075 (C), and
+# comes back infeasible (D); as free rows, they never reach it
 OMPC_OPT_ZERO_NOISY = {
     "A": """mixpc-instance v1
 kind ompc
@@ -316,6 +402,35 @@ covering 3
 0:2.1730743255308 1:4.0370250197983354e-07
 end
 """,
+    "C": """mixpc-instance v1
+kind ompc
+m 2
+n 4
+packing 5
+0 0 0.10747769435830345
+0 2 3.749467070190558
+0 3 0.9666482189939416
+1 2 0.7919125350726605
+1 3 2.401048724067926e-05
+covering 2
+1:1.3357154648845695
+1:2.2510572350612257e-11 2:12.668565795524268 3:2.6644249887781424
+end
+""",
+    "D": """mixpc-instance v1
+kind ompc
+m 1
+n 4
+packing 3
+0 0 0.972948275555096
+0 1 181158671028.6693
+0 2 5.215971733778839e-05
+covering 3
+3:7.401000377764281e-11
+0:1.980927298622346e-06 1:4.1760110156599706e-11 2:1.432115514642068 3:217212.8402715041
+0:8914371628.272032 1:408280047654.3799 2:776596.4343442793 3:3.052953390562486
+end
+""",
 }
 
 
@@ -323,6 +438,8 @@ end
 def test_oracle_returns_exact_zero_when_no_packing_row_is_loaded(
     name, tmp_path, capsys
 ):
+    inst = parse_instance(OMPC_OPT_ZERO_NOISY[name])
+    assert exact_ompc_opt(inst.system, list(inst.rows)) == 0
     path = tmp_path / f"{name}.txt"
     path.write_text(OMPC_OPT_ZERO_NOISY[name])
     assert main(["oracle", "--instance", str(path)]) == 0
@@ -330,6 +447,37 @@ def test_oracle_returns_exact_zero_when_no_packing_row_is_loaded(
     assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
     out = capsys.readouterr()
     assert "phases 0\noracle 0.0\n" in out.out
+    assert out.err == ""
+
+
+# rows 1-3 are free by variable 0; on all rows the simplex returned
+# 19918.748779296875, above the online 19918.7486763115, which is optimal
+OMPC_THREE_OF_FOUR_FREE = """mixpc-instance v1
+kind ompc
+m 1
+n 2
+packing 1
+0 1 315363694449.4724
+covering 4
+1:15832505.32321444
+0:3.004217789074338e-10 1:0.37004388488452555
+0:7.288217355564184e-07 1:235.11847096799673
+0:1.6713792390957698 1:3.0709596955923937
+end
+"""
+
+
+def test_free_rows_leave_the_oracle_lp_on_a_positive_optimum(tmp_path, capsys):
+    inst = parse_instance(OMPC_THREE_OF_FOUR_FREE)
+    assert float(exact_ompc_opt(inst.system, list(inst.rows))) == 19918.7486763115
+    path = tmp_path / "inst.txt"
+    path.write_text(OMPC_THREE_OF_FOUR_FREE)
+    assert main(["oracle", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out == "opt 19918.7486763115\ndual 19918.7486763115\n"
+    assert main(["solve-ompc", "--instance", str(path), "--bound-check"]) == 0
+    out = capsys.readouterr()
+    assert "lambda 19918.7486763115\n" in out.out
+    assert "\noracle 19918.7486763115\n" in out.out
     assert out.err == ""
 
 
@@ -466,6 +614,44 @@ def test_cli_oracle_brute_and_opt1(tmp_path, capsys):
     assert main(["oracle", "--instance", str(path), "--z", repr(zstar)]) == 0
     opt1_line = capsys.readouterr().out.strip()
     assert float(opt1_line.split()[1]) >= zstar - 1e-9
+
+
+def test_cli_solve_ccfl_without_bound_check_prints_the_run_only(tmp_path, capsys):
+    path = tmp_path / "ccfl.txt"
+    path.write_text(emit_instance(gen_random_ccfl(3, 4, seed=6)))
+    assert main(["solve-ccfl", "--instance", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == [
+        "epochs", "final_z", "per_epoch_total"
+    ]
+    assert captured.err == ""
+    ompc = tmp_path / "ompc.txt"
+    ompc.write_text(emit_instance(gen_random_ompc(4, 6, 5, 0.6, (1.0, 3.0), seed=3)))
+    assert main(["solve-ccfl", "--instance", str(ompc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solve-ccfl needs a facility/client instance\n"
+
+
+def test_cli_oracle_z_below_a_least_entry_cost_is_infeasible(tmp_path, capsys):
+    inst = gen_random_ccfl(3, 4, seed=6)
+    path = tmp_path / "ccfl.txt"
+    path.write_text(emit_instance(inst))
+    z = 0.5 * min(inst.min_entry_cost(j) for j in range(inst.n))
+    assert main(["oracle", "--instance", str(path), "--z", repr(z)]) == 0
+    assert capsys.readouterr() == ("status infeasible\n", "")
+
+
+def test_cli_suite_without_out_writes_the_csv_to_stdout(capsys):
+    argv = ["suite", "--name", "ompc-random", "--count", "2", "--seed", "3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    config = ExperimentConfig(suite="ompc-random", seed=3, count=2)
+    assert strip_wall_time(captured.out) == strip_wall_time(
+        report_to_csv(run_experiment(config))
+    )
+    assert captured.out.splitlines()[0] == REPORT_HEADER
+    assert captured.err == ""
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):

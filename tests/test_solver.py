@@ -104,6 +104,18 @@ def test_offer_returns_none():
         assert row.coverage(solver.x_total) >= 1.0 - 1e-12
 
 
+def test_x_total_before_any_trial_holds_the_free_rows():
+    # variable 1 has an empty packing column: a row holding it opens no trial
+    solver = OnlineOmpcSolver(PackingSystem(np.array([[1.0, 0.0, 2.0]])))
+    assert solver.x_total.tolist() == [0.0, 0.0, 0.0]
+    solver.offer(CoveringRow([0, 1], [1.0, 4.0]))
+    x = solver.x_total
+    assert x.tolist() == [0.0, 0.25, 0.0]
+    x[1] = 0.0  # a copy: the solver's own aggregate keeps the free row covered
+    assert solver.x_total.tolist() == [0.0, 0.25, 0.0]
+    assert solver.finish().trials == ()
+
+
 def hand_simulate_symmetric(gamma: float, m: int = 2) -> tuple[np.ndarray, int]:
     """Scalar re-implementation for P = I2, row (1, 1), symmetric start.
 
