@@ -2,9 +2,11 @@
 
 Everything here exists to supply denominators for empirical competitive
 ratios, so the implementation favours determinism and verifiable optimality
-(primal and dual returned together) over speed.  The simplex is a two-phase
-revised method with Bland's anti-cycling rule; problem sizes stay at desk
-scale (a few hundred rows/columns).
+(primal and dual returned together).  The simplex is a two-phase revised
+method that prices by the most negative reduced cost (Dantzig), lets the
+largest pivot leave among ratio ties (Harris), and falls back to Bland's
+anti-cycling rule on a stretch of degenerate pivots; problem sizes stay at
+desk scale (a few hundred rows/columns).
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ __all__ = [
 
 FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-10
+DEGENERATE_TOL = 1e-12  # ratios this close tie; a least ratio this small is degenerate
 _REFACTOR_EVERY = 64
+_BLAND_AFTER = 8  # degenerate pivots in a row before Bland's rule takes over
 BRUTE_MAX_M = 8  # brute_force_zstar's size guard
 BRUTE_MAX_N = 12
 
@@ -83,10 +87,10 @@ class LpSolution:
 class _Tableau:
     """Revised simplex working set: basis, its inverse, and basic values."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, basis: list[int]):
+    def __init__(self, a: np.ndarray, b: np.ndarray, basis: np.ndarray):
         self.a = a
         self.b = b
-        self.basis = basis
+        self.basis = np.array(basis, dtype=np.intp)
         self.nr = a.shape[0]
         self.binv = np.eye(self.nr)
         self.xb = b.copy()
@@ -94,7 +98,10 @@ class _Tableau:
 
     def refactor(self) -> None:
         bmat = self.a[:, self.basis]
-        self.binv = np.linalg.solve(bmat, np.eye(self.nr))
+        try:
+            self.binv = np.linalg.solve(bmat, np.eye(self.nr))
+        except np.linalg.LinAlgError:
+            raise RuntimeError("simplex basis became singular") from None
         self.xb = self.binv @ self.b
         self._since_refactor = 0
 
@@ -105,31 +112,50 @@ class _Tableau:
         """Make column ``col`` basic in ``row``; ``d`` is ``B^-1 a[:, col]``."""
         self.binv[row, :] /= piv
         self.xb[row] /= piv
-        nz = np.nonzero(d)[0]
+        nz = np.flatnonzero(d)
         nz = nz[nz != row]
         self.binv[nz] -= d[nz, None] * self.binv[row]
         self.xb[nz] -= d[nz] * self.xb[row]
         self.basis[row] = col
 
     def run(self, c: np.ndarray, allowed: np.ndarray, max_iters: int) -> str:
-        """Bland-rule iterations until optimal/unbounded for min c'x."""
+        """Simplex iterations until optimal/unbounded for min c'x.
+
+        Dantzig pricing: the entering column has the most negative reduced
+        cost, and among the rows tied on the least ratio the one with the
+        largest pivot leaves.  After ``_BLAND_AFTER`` degenerate pivots in
+        a row (least ratio at most ``DEGENERATE_TOL``) both choices follow
+        Bland's rule, the lowest eligible column and the tied row with the
+        smallest basic variable, until a pivot is not degenerate.  Bland's
+        rule cannot cycle within a degenerate stretch and every other pivot
+        lowers the objective, so the iterations terminate.
+        """
+        a, basis = self.a, self.basis
+        neg_tol = -PIVOT_TOL
+        degenerate = 0
         for _ in range(max_iters):
-            y = self.duals(c)
-            rc = c - y @ self.a
-            rc[self.basis] = 0.0
-            candidates = np.nonzero((rc < -PIVOT_TOL) & allowed)[0]
-            if candidates.size == 0:
+            rc = c - self.duals(c) @ a
+            rc[basis] = 0.0
+            eligible = (rc < neg_tol) & allowed
+            bland = degenerate >= _BLAND_AFTER
+            if bland:
+                enter = int(eligible.argmax())
+            else:
+                enter = int(np.where(eligible, rc, 0.0).argmin())
+            if not eligible[enter]:
                 return "optimal"
-            enter = int(candidates[0])  # Bland: lowest eligible variable index
-            d = self.binv @ self.a[:, enter]
+            d = self.binv @ a[:, enter]
             pos = d > PIVOT_TOL
             if not pos.any():
                 return "unbounded"
             ratios = np.where(pos, self.xb / np.where(pos, d, 1.0), np.inf)
             rmin = ratios.min()
-            near = np.nonzero(ratios <= rmin + 1e-12)[0]
-            # Bland again: break ratio ties on the smallest basic variable
-            leave = int(min(near, key=lambda i: self.basis[i]))
+            near = np.flatnonzero(ratios <= rmin + DEGENERATE_TOL)
+            if bland:
+                leave = int(near[basis[near].argmin()])
+            else:
+                leave = int(near[d[near].argmax()])
+            degenerate = degenerate + 1 if rmin <= DEGENERATE_TOL else 0
             self.pivot(leave, enter, d, d[leave])
             self._since_refactor += 1
             if self._since_refactor >= _REFACTOR_EVERY:
@@ -158,7 +184,7 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
     basis[ge_rows] = art_cols
     max_iters = 5000 + 200 * (nr + ncols)
 
-    tab = _Tableau(a, b, basis.tolist())
+    tab = _Tableau(a, b, basis)
     allowed = np.ones(ncols, dtype=bool)
     if ge_rows.size:
         c1 = np.zeros(ncols)
@@ -171,9 +197,9 @@ def simplex_solve(problem: LpProblem) -> LpSolution:
         allowed[art_cols] = False
         # pivot artificials out of the basis where possible; a row whose
         # artificial cannot leave is redundant and keeps it at value 0
-        for rowi in np.nonzero(~allowed[tab.basis])[0]:
+        for rowi in np.flatnonzero(~allowed[tab.basis]):
             lane = tab.binv[rowi, :] @ tab.a
-            enter = np.nonzero(allowed & (np.abs(lane) > 1e-7))[0]
+            enter = np.flatnonzero(allowed & (np.abs(lane) > 1e-7))
             if enter.size:
                 j = int(enter[0])
                 tab.pivot(rowi, j, tab.binv @ tab.a[:, j], lane[j])

@@ -17,8 +17,9 @@ from mixpc import (
     violation,
 )
 from mixpc.ccfl import CcflClient, CcflInstance
-from mixpc.oracle import _Tableau
+from mixpc.oracle import _BLAND_AFTER, DEGENERATE_TOL, PIVOT_TOL, _Tableau
 from mixpc.rng import rng_for
+from mixpc.runner import _ccfl_random_instance
 from reference_maths import exact_ompc_opt
 
 
@@ -114,6 +115,76 @@ def test_pivot_matches_row_loop_bit_for_bit():
         assert np.array_equal(tab.binv, binv)
         assert np.array_equal(tab.xb, xb)
         assert tab.basis[row] == 0
+
+
+def test_singular_basis_is_a_runtime_error():
+    # the basis names column 0 twice, so B is singular
+    a = np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
+    tab = _Tableau(a, np.array([1.0, 1.0]), [0, 0])
+    with pytest.raises(RuntimeError, match="singular"):
+        tab.refactor()
+
+
+def test_beales_degenerate_lp_terminates():
+    # Beale (1955): Dantzig pricing with ties broken on the lowest row cycles
+    prob = LpProblem(
+        np.array([-0.75, 20.0, -0.5, 6.0]),
+        np.array(
+            [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        ),
+        ("<=", "<=", "<="),
+        np.array([0.0, 0.0, 1.0]),
+    )
+    sol = simplex_solve(prob)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-1.25, abs=1e-12)
+    assert sol.primal == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_bland_rule_takes_over_after_a_degenerate_stretch(monkeypatch):
+    # ccfl-random-0 at suite seed 11 stalls in degenerate pivots.  The
+    # wrappers keep their own count of degenerate pivots in a row and check
+    # each pivot's choices: Dantzig's and the largest tied pivot before
+    # _BLAND_AFTER of them, Bland's past it.
+    inst = _ccfl_random_instance(11, 0)
+    zstar = brute_force_zstar(inst)
+    run, pivot = _Tableau.run, _Tableau.pivot
+    seen = {"c": None, "degenerate": 0, "bland": 0, "dantzig": 0}
+
+    def watched_run(tab, c, allowed, max_iters):
+        seen.update(c=c, allowed=allowed, degenerate=0)
+        try:
+            return run(tab, c, allowed, max_iters)
+        finally:
+            seen["c"] = None
+
+    def watched_pivot(tab, row, col, d, piv):
+        if seen["c"] is not None:  # not the artificials' pivot-out
+            rc = seen["c"] - tab.duals(seen["c"]) @ tab.a
+            rc[tab.basis] = 0.0
+            eligible = (rc < -PIVOT_TOL) & seen["allowed"]
+            pos = d > PIVOT_TOL
+            ratios = np.where(pos, tab.xb / np.where(pos, d, 1.0), np.inf)
+            rmin = ratios.min()
+            tied = ratios <= rmin + DEGENERATE_TOL
+            if seen["degenerate"] >= _BLAND_AFTER:
+                seen["bland"] += 1
+                assert col == np.flatnonzero(eligible)[0]
+                assert tab.basis[row] == tab.basis[tied].min()
+            else:
+                seen["dantzig"] += 1
+                assert rc[col] == rc[eligible].min()
+                assert d[row] == d[tied].max()
+            seen["degenerate"] = seen["degenerate"] + 1 if rmin <= DEGENERATE_TOL else 0
+        pivot(tab, row, col, d, piv)
+
+    monkeypatch.setattr(_Tableau, "run", watched_run)
+    monkeypatch.setattr(_Tableau, "pivot", watched_pivot)
+    sol = ccfl_opt1(inst, zstar)
+    assert (seen["bland"], seen["dantzig"]) == (32, 51)
+    ref, _ = _ccfl_opt1_highs(inst, zstar)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
 
 
 def _random_feasible_lp(g: np.random.Generator):
@@ -360,6 +431,17 @@ def test_ccfl_opt1_partial_candidates_match_highs(seed):
     assert sol.status == {0: "optimal", 2: "infeasible"}[ref.status]
     if sol.status == "optimal":
         assert sol.objective == pytest.approx(ref.fun, rel=1e-8)
+
+
+def test_ccfl_opt1_with_large_pivot_ratio_ties_matches_highs():
+    # breaking this LP's ratio ties on the smallest basic variable outside
+    # Bland's stretches made its basis singular
+    inst = _ccfl_random_instance(99, 4)
+    zstar = brute_force_zstar(inst)
+    sol = ccfl_opt1(inst, zstar)
+    ref, _ = _ccfl_opt1_highs(inst, zstar)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
 
 
 def test_brute_force_single_effective_facility():

@@ -56,10 +56,10 @@ def strip_wall_time(csv_text: str) -> str:
 # digits; a change to a suite or its checks that moves an output shows here
 PINNED_SUITE_CSVS = [
     ("ompc-adversary", None, {}, "13ebc95ef4112d2e"),
-    ("ompc-random", 0, {"count": 10}, "7aec9406b5b4a109"),
-    ("ompc-random", 11, {"count": 10}, "fa4feb246bd89db3"),
-    ("ccfl-random", 0, {"count": 3}, "058e5bca070a3ab6"),
-    ("ccfl-random", 11, {"count": 3}, "6a803ab37917b658"),
+    ("ompc-random", 0, {"count": 10}, "0b8b3b0910474089"),
+    ("ompc-random", 11, {"count": 10}, "687db5704a6af63c"),
+    ("ccfl-random", 0, {"count": 3}, "9c3afd657961be6f"),
+    ("ccfl-random", 11, {"count": 3}, "22f5906128053afb"),
     ("ccfl-mc", 0, {"reps": 2000}, "da3ce053574238f2"),
     ("ccfl-mc", 11, {"reps": 2000}, "a6c3e8d1a337759c"),
 ]
@@ -301,14 +301,14 @@ def test_check_ccfl_run_flags_doctored_dual_families():
     assert check(gamma=1000.0 * first.gamma) == [
         "run: trial 0 dual family-1 infeasible (8.846585461262663)",
         "run: trial 0 weak duality 0.2719128938837373 > OPT1/gamma "
-        "0.11234538820002483",
+        "0.11234538820002486",
     ]
     # family 1 is taken on entered pairs only; weak duality sums every client
     alpha = first.alpha.copy()
     alpha[-1] = 1e6
     assert check(alpha=alpha) == [
         "run: trial 0 weak duality 214.15010342870164 > OPT1/gamma "
-        "112.34538820002483"
+        "112.34538820002486"
     ]
     # the trial's own primal-dual gap, and the run's two cost checks
     assert check(min_pd_gap=-1e-6) == ["run: trial 0 primal-dual gap -1e-06 < -1e-09"]
