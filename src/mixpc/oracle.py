@@ -288,8 +288,10 @@ def ccfl_opt1(instance, z_value: float) -> LpSolution:
     """Optimum of the parametric fractional assignment LP at guess ``z_value``.
 
     Variables are the per-client assignments over their candidate sets,
-    the facility openness vector, and the congestion bound; infeasible
-    status is returned when some client has no candidate facility.
+    the facility openness vector, and the congestion bound.  The status is
+    infeasible only when some client has no candidate facility; otherwise
+    the LP is feasible with objective >= 0, and any other outcome of the
+    simplex raises ``RuntimeError``.
     """
     m = instance.m
     n = instance.n
@@ -327,7 +329,10 @@ def ccfl_opt1(instance, z_value: float) -> LpSolution:
     rhs[-1] = 1.0
 
     obj = np.concatenate([cost, instance.fixed_charge, [z_value]])
-    return simplex_solve(LpProblem(obj, lhs, (">=",) * rhs.size, rhs))
+    sol = simplex_solve(LpProblem(obj, lhs, (">=",) * rhs.size, rhs))
+    if sol.status != "optimal":
+        raise RuntimeError(f"fractional assignment LP came back {sol.status}")
+    return sol
 
 
 def brute_force_zstar(instance) -> float:

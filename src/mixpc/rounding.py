@@ -280,6 +280,8 @@ def mc_rounding(
     k), so any single replication can be reproduced in isolation; chunking
     by ``MC_CHUNK`` replications only batches the arithmetic.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     m, n = instance.m, instance.n
     r = rounds_for(n)
     _, prob = coin_probabilities(x_per_client, y_per_client, m)

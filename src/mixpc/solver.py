@@ -248,27 +248,32 @@ class OnlineOmpcSolver:
         return self._x_closed + self._state.x
 
     def offer(self, row: CoveringRow) -> None:
-        """Process one covering row; ``x_total`` then covers it."""
+        """Process one covering row; ``x_total`` then covers it.  A row
+        rejected with ``ValueError`` opens no trial and takes no id."""
         row_id = self._rows_offered
-        self._rows_offered += 1
-        if self._first_row is None:
+        if self._state is None:
             if row.indices[-1] >= self.system.n:  # indices are sorted
                 raise ValueError(_UNKNOWN_VARIABLE)
-            t = free_entry(self.system.column_nonzeros(), row)
-            if t is not None:
-                if row.coverage(self._x_closed) < 1.0 - SAT_SLACK:
-                    j = int(row.indices[t])
-                    self._x_closed[j] = max(self._x_closed[j], 1.0 / row.values[t])
-                return
-            self._state = init_trial(self.system, start_scale(self.system, row), row)
-            self._first_row = row
-        elif self._state is None:
-            self._state = init_trial(self.system, self._records[-1].gamma, self._first_row)
+            if self._first_row is None:
+                t = free_entry(self.system.column_nonzeros(), row)
+                if t is not None:
+                    self._rows_offered += 1
+                    if row.coverage(self._x_closed) < 1.0 - SAT_SLACK:
+                        j = int(row.indices[t])
+                        self._x_closed[j] = max(self._x_closed[j], 1.0 / row.values[t])
+                    return
+                gamma = start_scale(self.system, row)
+                self._state = init_trial(self.system, gamma, row)
+                self._first_row = row
+            else:
+                gamma = self._records[-1].gamma
+                self._state = init_trial(self.system, gamma, self._first_row)
         while not process_constraint(self._state, row, row_id):
             self._retire()
             self._state = init_trial(
                 self.system, self._records[-1].gamma * 2.0, self._first_row
             )
+        self._rows_offered += 1
 
     def _retire(self) -> None:
         st = self._state

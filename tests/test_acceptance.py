@@ -54,7 +54,7 @@ def _report(num: int, name: str) -> None:
 def ompc_runs():
     runs = []
     for idx in range(50):
-        inst, _ = _ompc_random_instance(seed=1, index=idx)
+        inst = _ompc_random_instance(seed=1, index=idx)
         sol = solve_online(inst.system, list(inst.rows))
         opt = ompc_opt(inst.system, list(inst.rows))
         runs.append((inst, sol, opt.value))

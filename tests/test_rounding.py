@@ -197,6 +197,13 @@ def test_mc_chunking_invariance(monkeypatch):
     assert a.mean_max_candidate_congestion == b.mean_max_candidate_congestion
 
 
+@pytest.mark.parametrize("reps", [0, -3])
+def test_mc_rounding_rejects_reps_below_one(reps):
+    inst, z, xs, ys = _frozen_fractional()
+    with pytest.raises(ValueError, match=f"^reps must be at least 1, got {reps}$"):
+        mc_rounding(inst, xs, ys, z, reps=reps, seed=0)
+
+
 def test_z_epochs_assigns_everyone_and_doubles():
     for seed in (1, 4, 9):
         inst = gen_random_ccfl(4, 6, seed=seed)

@@ -38,6 +38,7 @@ from mixpc.runner import (
     suite_ompc_adversary,
     suite_ompc_random,
 )
+from mixpc.oracle import LpSolution
 from mixpc.solver import TrialRecord, init_trial, process_constraint
 from reference_maths import exact_ompc_opt
 
@@ -690,17 +691,19 @@ def test_cli_suite_smoke(tmp_path):
     assert len(text.strip().splitlines()) == 3
 
 
-def test_run_experiment_drops_violations_when_bound_check_off(monkeypatch):
-    configs = {
-        "ompc-random": {"seed": 1, "count": 1},
-        "ccfl-random": {"seed": 1, "count": 1},
-        "ompc-adversary": {},
-        "ccfl-mc": {"seed": 1, "reps": 200},
+def test_cli_suite_reports_violations_only_with_bound_check(monkeypatch, capsys):
+    # each check planted to fail: the CSV is the same either way, and only
+    # --bound-check prints one VIOLATION line per check call and exits 1
+    suites = {  # name -> (flags, check calls in one run)
+        "ompc-random": ("--seed 1 --count 1", 1),
+        "ccfl-random": ("--seed 1 --count 1", 1),
+        "ompc-adversary": ("", 12),
+        "ccfl-mc": ("--seed 1 --reps 200", 1),
     }
-    clean = {
-        suite: report_to_csv(run_experiment(ExperimentConfig(suite=suite, **flags)))
-        for suite, flags in configs.items()
-    }
+    clean = {}
+    for name, (flags, _) in suites.items():
+        assert main(["suite", "--name", name, *flags.split()]) == 0
+        clean[name] = strip_wall_time(capsys.readouterr().out)
     for check in (
         "check_ompc_run",
         "check_ccfl_run",
@@ -708,12 +711,37 @@ def test_run_experiment_drops_violations_when_bound_check_off(monkeypatch):
         "check_mc_stats",
     ):
         monkeypatch.setattr(f"mixpc.runner.{check}", lambda *args: ["planted"])
-    for suite, flags in configs.items():
-        checked = run_experiment(ExperimentConfig(suite=suite, **flags))
-        assert set(checked.violations) == {"planted"}
-        rep = run_experiment(ExperimentConfig(suite=suite, bound_check=False, **flags))
-        assert rep.violations == []
-        assert strip_wall_time(report_to_csv(rep)) == strip_wall_time(clean[suite])
+    for name, (flags, calls) in suites.items():
+        argv = ["suite", "--name", name, *flags.split()]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (strip_wall_time(out), err) == (clean[name], "")
+        assert main([*argv, "--bound-check"]) == 1
+        out, err = capsys.readouterr()
+        violations = "VIOLATION planted\n" * calls
+        assert (strip_wall_time(out), err) == (clean[name], violations)
+
+
+@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+def test_cli_opt1_lp_that_cannot_be_solved_exits_3(
+    status, tmp_path, monkeypatch, capsys
+):
+    # with a candidate for every client the assignment LP has an optimum, so
+    # any other simplex verdict is an internal error, not a status or a
+    # bound violation
+    inst = gen_random_ccfl(3, 4, seed=6)
+    path = tmp_path / "ccfl.txt"
+    path.write_text(emit_instance(inst))
+    zstar = brute_force_zstar(inst)
+    monkeypatch.setattr("mixpc.oracle.simplex_solve", lambda lp: LpSolution(status))
+    with pytest.raises(RuntimeError):
+        ccfl_opt1(inst, zstar)
+    message = f"internal error: fractional assignment LP came back {status}\n"
+    argv = ["suite", "--name", "ccfl-random", "--count", "1", "--bound-check"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", message)
+    assert main(["oracle", "--instance", str(path), "--z", repr(zstar)]) == 3
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize(

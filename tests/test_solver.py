@@ -116,6 +116,29 @@ def test_x_total_before_any_trial_holds_the_free_rows():
     assert solver.finish().trials == ()
 
 
+def test_a_rejected_row_changes_nothing():
+    # a row holding an unknown variable is refused before it opens a trial
+    # or takes an id, whether it comes first or after a finish
+    solver = OnlineOmpcSolver(PackingSystem(np.eye(2)))
+    bad = CoveringRow([0, 5], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        solver.offer(bad)
+    assert solver.finish().trials == ()
+    solver.offer(CoveringRow([0, 1], [1.0, 1.0]))
+    first = solver.finish().trials
+    assert [rec.state.rows_seen for rec in first] == [[0]]
+    with pytest.raises(ValueError):
+        solver.offer(bad)
+    (kept,) = solver.finish().trials
+    assert kept is first[0]
+    solver.offer(CoveringRow([1], [2.0]))
+    trials = solver.finish().trials
+    assert trials[0] is first[0]
+    assert all(rec.state.rows_seen == [1] for rec in trials[1:])
+    for rec in trials:
+        dual_certificate(rec.state, 1.0)
+
+
 def hand_simulate_symmetric(gamma: float, m: int = 2) -> tuple[np.ndarray, int]:
     """Scalar re-implementation for P = I2, row (1, 1), symmetric start.
 
