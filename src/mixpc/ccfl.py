@@ -411,6 +411,10 @@ class CcflFractionalSolver:
         self.state: CcflTrialState | None = None
 
     def offer(self, j: int) -> None:
+        """Serve client ``j``; a ``j`` outside ``range(n)`` raises
+        ``ValueError`` and opens no trial."""
+        if not 0 <= j < self.instance.n:
+            raise ValueError(f"unknown client {j}: clients are 0..{self.instance.n - 1}")
         if self.state is None:
             gamma = self._records[-1].gamma if self._records else 1.0
             self.state = new_trial(self.instance, self.z_value, gamma)

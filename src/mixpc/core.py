@@ -142,7 +142,7 @@ class CoveringRow:
 
     def coverage(self, x: np.ndarray) -> float:
         """Value of the row at ``x``."""
-        return float(self.values @ np.asarray(x, dtype=np.float64)[self.indices])
+        return float(self.values.dot(np.asarray(x, dtype=np.float64)[self.indices]))
 
 
 def _owned_vector(a, dtype) -> np.ndarray:

@@ -147,17 +147,21 @@ def process_constraint(state: OmpcTrialState, row: CoveringRow, row_id: int) -> 
     """
     if state.failed:
         raise RuntimeError("trial already failed; start a new trial")
-    # CoveringRow sorts its indices, so the last one is the largest
-    if row.indices[-1] >= state.system.n:
-        raise ValueError(_UNKNOWN_VARIABLE)
+    # the gather is the index check: CoveringRow rejects negative indices,
+    # so only an index past n fails it, before any record changes
+    try:
+        xi = state.x[row.indices]
+    except IndexError:
+        raise ValueError(_UNKNOWN_VARIABLE) from None
     state.rows_seen.append(row_id)
     state.duals_y.setdefault(row_id, 0.0)
     state.phases_per_row.setdefault(row_id, 0)
     nonzeros = state.system.column_nonzeros()
     pt = state.system.scaled(state.gamma)
 
-    # a row met at entry costs one dot product, not the kernel's softmax
-    if not row.coverage(state.x) < 1.0 - SAT_SLACK:
+    # a row met at entry costs one dot product, not the kernel's softmax;
+    # ndarray.dot is the same BLAS ddot as the kernel's @, without its dispatch
+    if not row.values.dot(xi) < 1.0 - SAT_SLACK:
         return True
 
     t = free_entry(nonzeros, row)

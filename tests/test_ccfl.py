@@ -396,6 +396,32 @@ def test_gamma_never_drops_across_a_finish():
     assert gammas == [1.0, 2.0, 2.0]
 
 
+def test_offer_rejects_an_unknown_client():
+    # -1 would serve client n-1 through numpy's negative index, and n would
+    # fail only after a trial opened; both are refused before any change,
+    # with no trial open and with one open
+    inst = gen_random_ccfl(3, 4, seed=6)
+    solver = CcflFractionalSolver(inst, brute_force_zstar(inst))
+    for bad in (-1, inst.n):
+        with pytest.raises(ValueError, match="unknown client"):
+            solver.offer(bad)
+    assert solver.state is None
+    assert not solver.x_aggregate.any()
+    solver.offer(0)
+    st = solver.state
+    before, aggregate = copy.deepcopy(st), solver.x_aggregate.copy()
+    for bad in (-1, inst.n):
+        with pytest.raises(ValueError, match="unknown client"):
+            solver.offer(bad)
+    assert solver.state is st
+    assert st.x.tobytes() == before.x.tobytes()
+    assert st.phases_per_client.tobytes() == before.phases_per_client.tobytes()
+    assert solver.x_aggregate.tobytes() == aggregate.tobytes()
+    for j in range(1, inst.n):
+        solver.offer(j)
+    assert solver.finish().x.tobytes() == gamma_trials(inst, solver.z_value).x.tobytes()
+
+
 def test_gamma_trials_opens_exactly_the_trials_it_returns(monkeypatch):
     # a trial opens when a client needs one, never after the run closes
     opened = []

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -118,13 +119,24 @@ def test_x_total_before_any_trial_holds_the_free_rows():
 
 def test_a_rejected_row_changes_nothing():
     # a row holding an unknown variable is refused before it opens a trial
-    # or takes an id, whether it comes first or after a finish
+    # or takes an id, whether it comes first, into an open trial or after a
+    # finish
     solver = OnlineOmpcSolver(PackingSystem(np.eye(2)))
     bad = CoveringRow([0, 5], [1.0, 1.0])
     with pytest.raises(ValueError):
         solver.offer(bad)
     assert solver.finish().trials == ()
     solver.offer(CoveringRow([0, 1], [1.0, 1.0]))
+    trial = solver._state
+    before = copy.deepcopy(trial)
+    with pytest.raises(ValueError):
+        solver.offer(bad)
+    assert solver._state is trial
+    assert trial.rows_seen == before.rows_seen
+    assert trial.duals_y == before.duals_y
+    assert trial.phases_per_row == before.phases_per_row
+    assert trial.x.tobytes() == before.x.tobytes()
+    assert trial.pvx.tobytes() == before.pvx.tobytes()
     first = solver.finish().trials
     assert [rec.state.rows_seen for rec in first] == [[0]]
     with pytest.raises(ValueError):
